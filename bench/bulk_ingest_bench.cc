@@ -1,7 +1,7 @@
 // Bulk ingest vs the write path, at two levels.
 //
 // Engine level: lands the same pair stream into a fresh QinDb three ways —
-// per-record WriteBatch Puts through group commit, amortized WriteBatches,
+// per-record WriteBatch Puts, amortized WriteBatches,
 // and the IngestBegin/IngestRun/IngestCommit fast path — and reports the
 // CPU-bound ratios.
 //
@@ -204,7 +204,7 @@ int main(int argc, char** argv) {
   for (int i = 0; i < config.pairs; ++i) keys.push_back(PairKey(i));
 
   // Arm 1: per-record WriteBatch Puts — one-op batches, so every record
-  // pays batch setup, planning, the group-commit queue, and memtable
+  // pays batch setup, planning, the shard write lock, and memtable
   // indexing on its own. This is what landing a bulk delivery through the
   // normal write path record-by-record costs.
   double put_seconds;

@@ -228,17 +228,15 @@ BENCHMARK(BM_QinDbMixedReadWrite)
     ->Iterations(4000)
     ->UseRealTime();
 
-// --- Group-commit benchmarks ----------------------------------------------
+// --- Concurrent write benchmarks -------------------------------------------
 
-// All threads stream single-op PUTs against one engine, A/B over the
-// group_commit option: 0 is the pre-group-commit path (one AOF append per
-// op under the write mutex), 1 lets the leader batch concurrent writers
-// into one append. The acceptance gate compares the 8-thread rows.
+// All threads stream single-op PUTs against one engine with default options:
+// each Put encodes its record off-lock, then commits under its shard's write
+// mutex. The 1/4/8-thread sweep shows how that lock holds up under
+// contention.
 void BM_QinDbConcurrentPut(benchmark::State& state) {
   if (state.thread_index() == 0) {
-    qindb::QinDbOptions options;
-    options.group_commit = state.range(0) != 0;
-    g_concurrent_db = new ConcurrentDb(options);
+    g_concurrent_db = new ConcurrentDb();
   }
   Random rnd(20 + state.thread_index());
   const std::string value = rnd.NextString(1024);
@@ -255,9 +253,6 @@ void BM_QinDbConcurrentPut(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_QinDbConcurrentPut)
-    ->ArgName("group_commit")
-    ->Arg(0)
-    ->Arg(1)
     ->Threads(1)
     ->Threads(4)
     ->Threads(8)
@@ -265,7 +260,7 @@ BENCHMARK(BM_QinDbConcurrentPut)
     ->UseRealTime();
 
 // Single-op 1KB PUTs from N threads, A/B over the shard count: shards=1 is
-// one write mutex and one group-commit queue serializing every thread;
+// one write mutex serializing every thread;
 // shards=4 hash-routes each Put to one of four independent committers, so
 // on a multi-core host the appends (encode, CRC, memtable insert) proceed
 // in parallel. The acceptance gate compares the 8-thread rows — on a

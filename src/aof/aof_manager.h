@@ -129,8 +129,8 @@ class AofManager {
   Status AppendMany(const AppendOp* ops, size_t n,
                     std::vector<RecordAddress>* addresses) EXCLUDES(mu_);
 
-  /// Marks a set of records dead with one lock acquisition (the group-commit
-  /// analogue of N MarkDead calls). Pairs are (address, extent).
+  /// Marks a set of records dead with one lock acquisition (the batched
+  /// write path's analogue of N MarkDead calls). Pairs are (address, extent).
   void MarkDeadMany(
       const std::vector<std::pair<RecordAddress, uint64_t>>& dead)
       EXCLUDES(mu_);

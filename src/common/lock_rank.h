@@ -102,14 +102,6 @@ enum class LockRank : int {
   /// write lock — the cross-shard batch splitter must visit shards one at
   /// a time, and the rank checker enforces that mechanically.
   kQinDbWrite = 10,
-  /// Lock: `Shard::batch_mu_` — the shard's group-commit pending-write
-  /// queue.
-  /// Sibling instances: one per shard, named `qindb-batch-queue/sNN`.
-  ///
-  /// Writers take it standalone to enqueue a batch (before contending on
-  /// kQinDbWrite); the leader takes it under kQinDbWrite to drain the
-  /// queue and publish results. Nothing is ever acquired while holding it.
-  kQinDbBatchQueue = 12,
   /// Lock: `AofManager::mu_` — segment map, active writer, occupancy
   /// (shared for record reads).
   ///

@@ -157,7 +157,7 @@ class MintCluster {
 
   /// Executes `ops` in order with one engine Write per involved node: ops
   /// are bucketed by replica target into per-node qindb::WriteBatch objects
-  /// and each node commits its share in a single group-commit pass (one AOF
+  /// and each node commits its share in a single batched write (one AOF
   /// append per node instead of one per op). `statuses` receives one status
   /// per op with the same replica-aggregation semantics as Put/Del — ops to
   /// the same key always target the same node set, so per-key ordering is

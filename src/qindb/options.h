@@ -13,7 +13,7 @@ struct QinDbOptions {
 
   /// Number of independent shards the engine is partitioned into. Each shard
   /// owns its memtable index, AOF segment set (with its own occupancy/GC),
-  /// and group-commit queue; keys are hash-routed so concurrent writers on
+  /// and write mutex; keys are hash-routed so concurrent writers on
   /// different shards commit in parallel. Zero (the default) resolves to
   /// hardware_concurrency at first open, and to the persisted shard count on
   /// reopen; a nonzero value is validated against the shard manifest — a
@@ -26,10 +26,9 @@ struct QinDbOptions {
   /// persisted in the shard manifest so every reopen routes identically.
   uint64_t shard_hash_seed = 0x51494e44u;  // "QIND"
 
-  /// Defer AOF GC while reads are in flight, unless disk usage crosses
-  /// `gc_space_pressure` (fraction of device capacity). This is the paper's
-  /// "GC will be deferred if there are ongoing reads and free disk space".
-  bool defer_gc_during_reads = true;
+  /// AOF GC is deferred while reads are in flight, unless disk usage
+  /// crosses this fraction of device capacity. This is the paper's "GC will
+  /// be deferred if there are ongoing reads and free disk space".
   double gc_space_pressure = 0.85;
 
   /// Periodic checkpointing ("the memtable ... is checkpointed
@@ -57,17 +56,6 @@ struct QinDbOptions {
   /// re-materialize on first access by replaying their AOF records. Zero
   /// (the default) keeps every version resident forever.
   uint64_t index_memory_bytes = 0;
-
-  /// Group commit. When on, concurrent writers enqueue their batches and
-  /// the first thread into the shard's write mutex becomes the leader: it
-  /// drains the queue up to the budgets below and commits the whole group
-  /// with one vectored AOF append. When off, every op takes the legacy
-  /// one-append-per-record path (the A/B knob the benchmarks flip).
-  bool group_commit = true;
-  /// Budget caps for one commit group. The leader always takes at least one
-  /// batch, even an oversized one, so a single huge batch cannot wedge.
-  size_t group_commit_max_ops = 256;
-  uint64_t group_commit_max_bytes = 1ull << 20;
 };
 
 /// Operation counters. All fields are atomics so that reader threads and the

@@ -241,9 +241,7 @@ EngineCacheTotals QinDb::CacheTotals() const {
 Status QinDb::Put(const Slice& key, uint64_t version, const Slice& value,
                   bool dedup) {
   if (key.empty()) return Status::InvalidArgument("empty key");
-  // Single ops are one-op batches: under group commit they ride the owning
-  // shard's pending queue, so concurrent Put callers routed to the same
-  // shard coalesce into one leader-driven AOF append.
+  // Single ops are one-op batches through the owning shard's write path.
   WriteBatch batch;
   batch.Put(key, version, value, dedup);
   return Write(batch);
@@ -349,34 +347,12 @@ Status QinDb::Write(WriteBatch& batch) {
     if (!subs[s].ops_.empty()) involved.push_back(s);
   }
 
-  if (!options_.group_commit) {
-    // Ungrouped mode stays sequential (it is the single-threaded baseline);
-    // each shard still applies its sub-batch under its own lock.
-    for (uint32_t s : involved) {
-      DL_DISCARD_STATUS("first failing per-op status; re-derived from the "
-                        "stitched per-op statuses below",
-                        shards_[s]->Write(subs[s]));
-    }
-  } else {
-    // Parallel commit: enqueue the sub-batch on EVERY involved shard first,
-    // then complete them in ascending shard order. All facade writers use
-    // this order, so any wait chain between writers runs strictly from
-    // higher to lower shard index and cannot cycle; meanwhile sub-batches
-    // enqueued on shards this thread has not reached yet are committed by
-    // those shards' own leaders — that is where the parallelism comes from.
-    std::vector<Shard::PendingWrite> pending;
-    pending.reserve(involved.size());
-    for (uint32_t s : involved) {
-      subs[s].statuses_.clear();
-      subs[s].dropped_.assign(subs[s].ops_.size(), 0);
-      pending.emplace_back(&subs[s]);
-      shards_[s]->EnqueueWrite(&pending.back());
-    }
-    for (size_t i = 0; i < involved.size(); ++i) {
-      DL_DISCARD_STATUS("first failing per-op status; re-derived from the "
-                        "stitched per-op statuses below",
-                        shards_[involved[i]]->CompleteWrite(&pending[i]));
-    }
+  // One shard at a time: each sub-batch commits under its own shard's lock,
+  // and no thread ever holds two shard locks, so no ordering is needed.
+  for (uint32_t s : involved) {
+    DL_DISCARD_STATUS("first failing per-op status; re-derived from the "
+                      "stitched per-op statuses below",
+                      shards_[s]->Write(subs[s]));
   }
 
   // Stitch per-op statuses back into submission order; DropVersion counts

@@ -36,14 +36,14 @@ namespace directload::qindb {
 ///
 /// Sharding: the engine is partitioned into `num_shards` independent shards
 /// (see Shard), each a complete single-stream engine — memtable, AOF segment
-/// set with its own occupancy/GC, group-commit queue, checkpoint — over a
+/// set with its own occupancy/GC, write path, checkpoint — over a
 /// hash-assigned slice of the key space (shard = Hash64(key, seed) %
 /// num_shards). The layout is persisted in a shard manifest at first open;
 /// every reopen validates against it, so a count or seed mismatch fails the
 /// open with a clear error instead of silently misrouting keys. This facade
 /// routes point ops to their shard, splits a WriteBatch into per-shard
-/// sub-batches committed in PARALLEL through the shards' independent
-/// group-commit leaders, merges scans, and aggregates stats. At num_shards=1
+/// sub-batches committed one shard at a time, merges scans, and aggregates
+/// stats. At num_shards=1
 /// the engine is the pre-sharding engine byte-for-byte: legacy file names,
 /// no routing hash on the read path.
 ///
@@ -82,9 +82,8 @@ class QinDb {
   /// A batch whose ops all route to ONE shard keeps the unsharded contract:
   /// ops apply strictly in order, concurrent readers may observe a prefix
   /// but never a key's version chain out of order. A cross-shard batch is
-  /// split into per-shard sub-batches committed in parallel (enqueued on
-  /// every involved shard, then completed in ascending shard order); ops on
-  /// the SAME shard — in particular every op on one key — still apply in
+  /// split into per-shard sub-batches committed one shard at a time, in
+  /// ascending shard order; ops on the SAME shard — in particular every op on one key — still apply in
   /// submission order, but cross-shard inter-op order is unspecified and
   /// the batch is not atomic across shards: if one shard's append fails,
   /// only that shard's ops fail (their statuses say why), and a crash can
@@ -103,8 +102,8 @@ class QinDb {
 
   /// Lands one run of pairs through the shards' vectored-append fast path:
   /// ops route per shard, pre-encode off-lock, and append with one
-  /// AofManager::AppendMany per shard — no group-commit queue, no per-op
-  /// planning, no memtable work until commit. Dedup (`r`-flag) ops stage
+  /// AofManager::AppendMany per shard — no per-op planning, no memtable
+  /// work until commit. Dedup (`r`-flag) ops stage
   /// value-less records that traceback at read time; tombstone (`d`-flag)
   /// ops flag (key, op.version) deleted at commit and may target older
   /// versions. Put ops must carry the session version. A failed run fails

@@ -159,10 +159,8 @@ Shard::Shard(ssd::SsdEnv* env, const QinDbOptions& options, uint32_t shard_id,
       checkpoint_name_(options.aof.file_prefix + kCheckpointName),
       checkpoint_temp_(options.aof.file_prefix + kCheckpointTemp),
       write_name_(ShardLockName("qindb-write", shard_id)),
-      queue_name_(ShardLockName("qindb-batch-queue", shard_id)),
       pin_name_(ShardLockName("qindb-pin", shard_id)),
       write_mutex_(LockRank::kQinDbWrite, write_name_.c_str()),
-      batch_mu_(LockRank::kQinDbBatchQueue, queue_name_.c_str()),
       pin_mu_(LockRank::kQinDbPin, pin_name_.c_str()),
       cache_(options.cache_bytes > 0
                  ? std::make_unique<BlockCache>(options.cache_bytes, shard_id)
@@ -245,65 +243,6 @@ Status Shard::NoteWriteError(Status s) {
     degraded_.store(true, std::memory_order_release);
   }
   return s;
-}
-
-Status Shard::PutLocked(const Slice& key, uint64_t version,
-                        const Slice& value, bool dedup) {
-  if (key.empty()) return Status::InvalidArgument("empty key");
-  if (registry_.enabled() && registry_.AnyCold()) {
-    // A re-PUT into a cold version must see the existing entry to
-    // supersede it; a dedup put must be able to traceback through every
-    // older version. Materialize before deciding anything.
-    Status s = dedup ? EnsureAllResidentLocked()
-                     : EnsureVersionResidentLocked(version);
-    if (!s.ok()) return s;
-  }
-  const Slice stored_value = dedup ? Slice() : value;
-  const uint8_t flags = dedup ? aof::kFlagDedup : aof::kFlagNone;
-
-  MemIndex* idx = CurrentIndex();
-  const uint32_t segment_before = aof_->active_segment();
-  Result<aof::RecordAddress> addr =
-      aof_->AppendRecord(key, version, flags, stored_value);
-  if (!addr.ok()) return NoteWriteError(addr.status());
-
-  MemEntry* old = idx->FindExact(key, version);
-  if (old != nullptr) {
-    // Re-PUT of the same versioned key supersedes the previous record.
-    if (cache_ != nullptr) {
-      cache_->Erase(old->address.load(std::memory_order_acquire));
-    }
-    aof_->MarkDead(aof::RecordAddress::Unpack(old->address),
-                   EntryExtent(old));
-  }
-  idx->Insert(key, version, addr->Pack(),
-              static_cast<uint32_t>(stored_value.size()), dedup);
-
-  ++stats_->puts;
-  if (dedup) ++stats_->dedup_puts;
-  const uint64_t ingested = key.size() + stored_value.size();
-  stats_->user_bytes_ingested += ingested;
-  ++shard_puts_;
-  shard_bytes_ingested_.fetch_add(ingested, std::memory_order_relaxed);
-
-  if (options_.checkpoint_interval_bytes > 0 &&
-      shard_bytes_ingested_.load(std::memory_order_relaxed) -
-              bytes_at_last_checkpoint_ >=
-          options_.checkpoint_interval_bytes) {
-    Status s = CheckpointLocked();
-    if (!s.ok()) return NoteWriteError(s);
-    bytes_at_last_checkpoint_ =
-        shard_bytes_ingested_.load(std::memory_order_relaxed);
-  }
-
-  if (options_.auto_gc && aof_->active_segment() != segment_before) {
-    // A segment sealed: cheap moment to evaluate the lazy GC policy.
-    Status s = MaybeGcLocked();
-    MaybeUnloadIndexLocked();
-    return s;
-  }
-  MaybeUnloadIndexLocked();
-  return Status::OK();
 }
 
 Result<ScrubReport> Shard::Scrub() {
@@ -545,71 +484,8 @@ Result<std::string> Shard::GetLatest(const Slice& key) {
   }
 }
 
-Status Shard::DelLocked(const Slice& key, uint64_t version) {
-  if (registry_.enabled() && registry_.AnyCold() && registry_.IsCold(version)) {
-    // The entry must be resident to flag it deleted (and once deleted the
-    // version can never unload again, so the load is not churn).
-    if (Status s = EnsureVersionResidentLocked(version); !s.ok()) return s;
-  }
-  MemIndex* idx = CurrentIndex();
-  MemEntry* entry = idx->FindExact(key, version);
-  if (entry == nullptr) return Status::NotFound("no such key/version");
-  if (!entry->deleted.exchange(true, std::memory_order_acq_rel)) {
-    ++stats_->dels;
-    ++shard_dels_;
-    const DeadSink sink{aof_.get(), nullptr, cache_.get()};
-    ApplyDeleteAccounting(*idx, sink, entry);
-    if (options_.aof.log_deletes) {
-      Result<aof::RecordAddress> addr =
-          aof_->AppendRecord(key, version, aof::kFlagTombstone, Slice());
-      if (!addr.ok()) return NoteWriteError(addr.status());
-      // Tombstones are dead on arrival for occupancy purposes.
-      aof_->MarkDead(*addr, aof::RecordExtent(key.size(), 0));
-    }
-  }
-  if (options_.auto_gc) return MaybeGcLocked();
-  return Status::OK();
-}
-
-Result<uint64_t> Shard::DropVersionLocked(uint64_t version) {
-  if (registry_.enabled() && registry_.AnyCold() && registry_.IsCold(version)) {
-    // Dropping a cold version still needs its entries: each pair must be
-    // flagged, logged (when log_deletes) and accounted dead individually.
-    if (Status s = EnsureVersionResidentLocked(version); !s.ok()) return s;
-  }
-  MemIndex* idx = CurrentIndex();
-  uint64_t flagged = 0;
-  std::vector<MemEntry*> hits;
-  for (MemIndex::Iterator it = idx->NewIterator(); it.Valid(); it.Next()) {
-    MemEntry* entry = it.entry();
-    if (entry->version == version && !entry->deleted) hits.push_back(entry);
-  }
-  const DeadSink sink{aof_.get(), nullptr, cache_.get()};
-  for (MemEntry* entry : hits) {
-    entry->deleted = true;
-    ++stats_->dels;
-    ++shard_dels_;
-    ++flagged;
-    ApplyDeleteAccounting(*idx, sink, entry);
-    if (options_.aof.log_deletes) {
-      Result<aof::RecordAddress> addr = aof_->AppendRecord(
-          entry->user_key(), version, aof::kFlagTombstone, Slice());
-      if (!addr.ok()) return NoteWriteError(addr.status());
-      aof_->MarkDead(*addr, aof::RecordExtent(entry->key_size, 0));
-    }
-  }
-  // The version's pairs are all deleted now, so it can never unload again;
-  // drop its registry bookkeeping (access tick) for good.
-  if (registry_.enabled()) registry_.Forget(version);
-  if (options_.auto_gc) {
-    Status s = MaybeGcLocked();
-    if (!s.ok()) return s;
-  }
-  return flagged;
-}
-
 // ---------------------------------------------------------------------------
-// Group commit
+// Write path
 // ---------------------------------------------------------------------------
 
 Status Shard::Write(WriteBatch& batch) {
@@ -620,22 +496,15 @@ Status Shard::Write(WriteBatch& batch) {
     batch.statuses_.assign(batch.ops_.size(), w);
     return w;
   }
-  if (!options_.group_commit) return WriteUngrouped(batch);
-  PendingWrite self(&batch);
-  EnqueueWrite(&self);
-  return CompleteWrite(&self);
-}
 
-void Shard::EnqueueWrite(PendingWrite* pending) {
-  WriteBatch& batch = *pending->batch;
-  // Pre-encode this batch's Put records — checksum included — on the
-  // calling thread, before taking any lock. Encoding is the dominant
-  // per-op cost of a write (the CRC over the value), so under group commit
-  // it runs in parallel across the enqueueing writers while the leader's
-  // critical section shrinks to concatenate-append-apply. Ops that fail
-  // the appender's own limits are left unencoded; the plan phase rejects
-  // them per-op with a precise status.
-  pending->spans.assign(batch.ops_.size(), {0, 0});
+  // Pre-encode the batch's Put records — checksum included — on the calling
+  // thread, before taking any lock. Encoding is the dominant per-op cost of
+  // a write (the CRC over the value), so concurrent writers run it in
+  // parallel and the critical section shrinks to plan-append-apply. Ops that
+  // fail the appender's own limits are left unencoded; the plan phase
+  // rejects them per-op with a precise status.
+  std::string encoded;
+  std::vector<std::pair<size_t, size_t>> spans(batch.ops_.size(), {0, 0});
   for (size_t oi = 0; oi < batch.ops_.size(); ++oi) {
     const WriteOp& op = batch.ops_[oi];
     if (op.kind != WriteOpKind::kPut) continue;
@@ -644,146 +513,40 @@ void Shard::EnqueueWrite(PendingWrite* pending) {
             options_.aof.segment_bytes) {
       continue;
     }
-    const size_t at = pending->encoded.size();
+    const size_t at = encoded.size();
     aof::EncodeRecord(op.key, op.version,
                       op.dedup ? aof::kFlagDedup : aof::kFlagNone, op.value,
-                      &pending->encoded);
-    pending->spans[oi] = {at, pending->encoded.size() - at};
-  }
-
-  // Enqueue before contending on write_mutex_: while the current leader
-  // commits (holding write_mutex_), later writers still reach the queue, so
-  // the next leader finds a group, not a single batch.
-  MutexLock queue_lock(&batch_mu_);
-  write_queue_.push_back(pending);
-}
-
-Status Shard::CompleteWrite(PendingWrite* pending) {
-  PendingWrite& self = *pending;
-  // Only the queue FRONT proceeds to write_mutex_; every other writer parks
-  // on batch_cv_ and is released by the leader that commits its batch.
-  // Followers therefore never touch write_mutex_ at all — without the gate,
-  // each committed follower still had to win one write_mutex_ handoff just
-  // to observe done, which serialized a futex wake per op and erased the
-  // win from batching.
-  {
-    MutexLock queue_lock(&batch_mu_);
-    // An empty queue while !done means a looping leader drained this batch
-    // into its in-flight group; done is forthcoming, so keep waiting.
-    while (!self.done &&
-           (write_queue_.empty() || write_queue_.front() != &self)) {
-      batch_cv_.Wait();
-    }
-    if (self.done) return self.overall;
+                      &encoded);
+    spans[oi] = {at, encoded.size() - at};
   }
 
   MutexLock lock(&write_mutex_);
-  while (true) {
-    std::vector<PendingWrite*> group;
-    {
-      MutexLock queue_lock(&batch_mu_);
-      // A previous leader may have committed this batch between the park
-      // above and this thread acquiring write_mutex_.
-      if (self.done) return self.overall;
-      size_t group_ops = 0;
-      uint64_t group_bytes = 0;
-      while (!write_queue_.empty()) {
-        PendingWrite* candidate = write_queue_.front();
-        if (!group.empty() &&
-            (group_ops + candidate->batch->size() >
-                 options_.group_commit_max_ops ||
-             group_bytes + candidate->batch->ApproximateBytes() >
-                 options_.group_commit_max_bytes)) {
-          break;
-        }
-        group.push_back(candidate);
-        group_ops += candidate->batch->size();
-        group_bytes += candidate->batch->ApproximateBytes();
-        write_queue_.pop_front();
-      }
-    }
-    // The queue still held this thread's own batch, so group is non-empty.
-    CommitGroupLocked(group);
-    bool self_done = false;
-    {
-      MutexLock queue_lock(&batch_mu_);
-      for (PendingWrite* member : group) member->done = true;
-      self_done = self.done;
-      // Wakes the committed followers (they return) and the new queue
-      // front (it becomes the next leader).
-      batch_cv_.SignalAll();
-    }
-    if (self_done) return self.overall;
-    // The budget cut the drain before reaching this thread's batch (older
-    // batches filled the group): lead another round.
-  }
+  return CommitLocked(batch, encoded, spans);
 }
 
-Status Shard::WriteUngrouped(WriteBatch& batch) {
-  MutexLock lock(&write_mutex_);
-  batch.statuses_.clear();
-  batch.dropped_.assign(batch.ops_.size(), 0);
-  batch.statuses_.reserve(batch.ops_.size());
-  for (size_t oi = 0; oi < batch.ops_.size(); ++oi) {
-    const WriteOp& op = batch.ops_[oi];
-    Status s;
-    switch (op.kind) {
-      case WriteOpKind::kPut:
-        s = PutLocked(op.key, op.version, op.value, op.dedup);
-        break;
-      case WriteOpKind::kDel:
-        s = DelLocked(op.key, op.version);
-        break;
-      case WriteOpKind::kDropVersion: {
-        Result<uint64_t> flagged = DropVersionLocked(op.version);
-        if (flagged.ok()) batch.dropped_[oi] = *flagged;
-        s = flagged.status();
-        break;
-      }
-    }
-    batch.statuses_.push_back(s);
-    if (!s.ok() && degraded()) {
-      // A write fault tripped degraded mode mid-batch: the remaining ops
-      // fail the same way a sequence of single-op calls would.
-      for (size_t rest = oi + 1; rest < batch.ops_.size(); ++rest) {
-        batch.statuses_.push_back(CheckWritable());
-      }
-      break;
-    }
-  }
-  for (const Status& s : batch.statuses_) {
-    if (!s.ok()) return s;
-  }
-  return Status::OK();
-}
-
-void Shard::CommitGroupLocked(const std::vector<PendingWrite*>& group) {
-  // A previous group may have tripped degraded mode while this batch
-  // waited; fail every drained batch the way a lone op would fail.
+Status Shard::CommitLocked(
+    WriteBatch& batch, const std::string& encoded,
+    const std::vector<std::pair<size_t, size_t>>& spans) {
+  // Another writer may have tripped degraded mode while this one waited for
+  // the lock; fail the batch the way a lone op would fail.
   if (Status w = CheckWritable(); !w.ok()) {
-    for (PendingWrite* member : group) {
-      member->batch->statuses_.assign(member->batch->ops_.size(), w);
-      member->overall = w;
-    }
-    return;
+    batch.statuses_.assign(batch.ops_.size(), w);
+    return w;
   }
 
   if (registry_.enabled() && registry_.AnyCold()) {
     // Plan-time decisions (supersede, Del existence, DropVersion hits,
     // dedup traceback targets) need the touched versions resident. Puts
     // name their versions up front; any Del/Drop/dedup op spans versions
-    // unpredictably, so those groups materialize everything.
+    // unpredictably, so those batches materialize everything.
     bool all = false;
     std::set<uint64_t> versions;
-    for (const PendingWrite* member : group) {
-      for (const WriteOp& op : member->batch->ops_) {
-        if (op.kind != WriteOpKind::kPut || op.dedup) {
-          all = true;
-          break;
-        }
-        versions.insert(op.version);
+    for (const WriteOp& op : batch.ops_) {
+      if (op.kind != WriteOpKind::kPut || op.dedup) {
+        all = true;
+        break;
       }
-      if (all) break;
+      versions.insert(op.version);
     }
     Status resident;
     if (all) {
@@ -795,25 +558,22 @@ void Shard::CommitGroupLocked(const std::vector<PendingWrite*>& group) {
       }
     }
     if (!resident.ok()) {
-      // Fail the group whole, like a failed append: nothing was applied.
-      for (PendingWrite* member : group) {
-        member->batch->statuses_.assign(member->batch->ops_.size(), resident);
-        member->overall = resident;
-      }
-      return;
+      // Fail the batch whole, like a failed append: nothing was applied.
+      batch.statuses_.assign(batch.ops_.size(), resident);
+      return resident;
     }
   }
 
   MemIndex* idx = CurrentIndex();
   const uint32_t segment_before = aof_->active_segment();
 
-  // --- Plan: walk every op of every batch in order, deciding per-op
-  // validity and collecting the records the group will append. Del and
-  // DropVersion must observe the effect of earlier ops in the group whose
-  // records are not yet appended (hence not yet in the index); `overlay`
-  // carries that pending state keyed on (key, version). Planning and apply
-  // run inside one write_mutex_ critical section, so plan-time decisions
-  // are exact, not speculative.
+  // --- Plan: walk every op in order, deciding per-op validity and
+  // collecting the records the batch will append. Del and DropVersion must
+  // observe the effect of earlier ops in the batch whose records are not yet
+  // appended (hence not yet in the index); `overlay` carries that pending
+  // state keyed on (key, version). Planning and apply run inside one
+  // write_mutex_ critical section, so plan-time decisions are exact, not
+  // speculative.
   enum class Action : uint8_t {
     kSkip,  // Per-op status already final (invalid op, NotFound, no-op).
     kPut,   // Insert the record at slot `slot`.
@@ -833,152 +593,137 @@ void Shard::CommitGroupLocked(const std::vector<PendingWrite*>& group) {
   std::vector<aof::AofManager::AppendOp> slots;
   std::vector<Slice> drop_hits;  // Backing: memtable arena or batch ops.
   std::map<std::pair<std::string_view, uint64_t>, OverlayState> overlay;
-  std::vector<std::vector<PlannedOp>> plans(group.size());
+  std::vector<PlannedOp> plans(batch.ops_.size());
 
-  // The overlay only ever feeds Del/DropVersion decisions. Pure-Put groups
+  // The overlay only ever feeds Del/DropVersion decisions. Pure-Put batches
   // — the hot path — skip its per-op node allocations entirely.
-  size_t total_ops = 0;
   bool needs_overlay = false;
-  for (const PendingWrite* member : group) {
-    total_ops += member->batch->ops_.size();
-    for (const WriteOp& op : member->batch->ops_) {
-      needs_overlay |= op.kind != WriteOpKind::kPut;
-    }
+  for (const WriteOp& op : batch.ops_) {
+    needs_overlay |= op.kind != WriteOpKind::kPut;
   }
-  slots.reserve(total_ops);
+  slots.reserve(batch.ops_.size());
+  batch.statuses_.assign(batch.ops_.size(), Status::OK());
 
-  for (size_t b = 0; b < group.size(); ++b) {
-    WriteBatch& batch = *group[b]->batch;
-    batch.statuses_.assign(batch.ops_.size(), Status::OK());
-    batch.dropped_.assign(batch.ops_.size(), 0);
-    plans[b].resize(batch.ops_.size());
-    for (size_t oi = 0; oi < batch.ops_.size(); ++oi) {
-      const WriteOp& op = batch.ops_[oi];
-      PlannedOp& plan = plans[b][oi];
-      const std::string_view key_view(op.key);
-      switch (op.kind) {
-        case WriteOpKind::kPut: {
-          if (op.key.empty()) {
-            batch.statuses_[oi] = Status::InvalidArgument("empty key");
-            break;
-          }
-          // Pre-screen with the appender's own limits so one oversized op
-          // fails alone instead of failing the group's vectored append.
-          if (op.key.size() > UINT16_MAX) {
-            batch.statuses_[oi] = Status::InvalidArgument("key too long");
-            break;
-          }
-          if (aof::RecordExtent(op.key.size(), op.value.size()) >
-              options_.aof.segment_bytes) {
-            batch.statuses_[oi] =
-                Status::InvalidArgument("record exceeds segment capacity");
-            break;
-          }
-          plan.action = Action::kPut;
-          plan.slot = slots.size();
-          aof::AofManager::AppendOp slot{
-              Slice(op.key), op.version,
-              op.dedup ? aof::kFlagDedup : aof::kFlagNone, Slice(op.value),
-              Slice()};
-          const auto& span = group[b]->spans[oi];
-          if (span.second != 0) {
-            slot.preencoded =
-                Slice(group[b]->encoded.data() + span.first, span.second);
-          }
-          slots.push_back(slot);
-          if (needs_overlay) overlay[{key_view, op.version}] = OverlayState{true};
+  for (size_t oi = 0; oi < batch.ops_.size(); ++oi) {
+    const WriteOp& op = batch.ops_[oi];
+    PlannedOp& plan = plans[oi];
+    const std::string_view key_view(op.key);
+    switch (op.kind) {
+      case WriteOpKind::kPut: {
+        if (op.key.empty()) {
+          batch.statuses_[oi] = Status::InvalidArgument("empty key");
           break;
         }
-        case WriteOpKind::kDel: {
-          bool exists = false;
-          bool live = false;
-          if (auto it = overlay.find({key_view, op.version});
-              it != overlay.end()) {
-            exists = true;
-            live = it->second.live;
-          } else if (MemEntry* e = idx->FindExact(op.key, op.version);
-                     e != nullptr) {
-            exists = true;
-            live = !e->deleted.load(std::memory_order_acquire);
+        // Pre-screen with the appender's own limits so one oversized op
+        // fails alone instead of failing the batch's vectored append.
+        if (op.key.size() > UINT16_MAX) {
+          batch.statuses_[oi] = Status::InvalidArgument("key too long");
+          break;
+        }
+        if (aof::RecordExtent(op.key.size(), op.value.size()) >
+            options_.aof.segment_bytes) {
+          batch.statuses_[oi] =
+              Status::InvalidArgument("record exceeds segment capacity");
+          break;
+        }
+        plan.action = Action::kPut;
+        plan.slot = slots.size();
+        aof::AofManager::AppendOp slot{
+            Slice(op.key), op.version,
+            op.dedup ? aof::kFlagDedup : aof::kFlagNone, Slice(op.value),
+            Slice()};
+        if (spans[oi].second != 0) {
+          slot.preencoded =
+              Slice(encoded.data() + spans[oi].first, spans[oi].second);
+        }
+        slots.push_back(slot);
+        if (needs_overlay) overlay[{key_view, op.version}] = OverlayState{true};
+        break;
+      }
+      case WriteOpKind::kDel: {
+        bool exists = false;
+        bool live = false;
+        if (auto it = overlay.find({key_view, op.version});
+            it != overlay.end()) {
+          exists = true;
+          live = it->second.live;
+        } else if (MemEntry* e = idx->FindExact(op.key, op.version);
+                   e != nullptr) {
+          exists = true;
+          live = !e->deleted.load(std::memory_order_acquire);
+        }
+        if (!exists) {
+          batch.statuses_[oi] = Status::NotFound("no such key/version");
+          break;
+        }
+        if (!live) break;  // Already deleted: a successful no-op.
+        plan.action = Action::kDel;
+        if (options_.aof.log_deletes) {
+          plan.slot = slots.size();
+          slots.push_back({Slice(op.key), op.version, aof::kFlagTombstone,
+                           Slice(), Slice()});
+        }
+        overlay[{key_view, op.version}] = OverlayState{false};
+        break;
+      }
+      case WriteOpKind::kDropVersion: {
+        plan.action = Action::kDrop;
+        plan.hit_begin = drop_hits.size();
+        // Index pass: live pairs of this version the batch has not already
+        // re-decided (the overlay pass covers those).
+        for (MemIndex::Iterator it = idx->NewIterator(); it.Valid();
+             it.Next()) {
+          MemEntry* entry = it.entry();
+          if (entry->version != op.version || entry->deleted) continue;
+          const Slice entry_key = entry->user_key();
+          if (overlay.count({std::string_view(entry_key.data(),
+                                              entry_key.size()),
+                             op.version}) != 0) {
+            continue;
           }
-          if (!exists) {
-            batch.statuses_[oi] = Status::NotFound("no such key/version");
-            break;
+          drop_hits.push_back(entry_key);
+        }
+        for (const auto& [ov_key, state] : overlay) {
+          if (ov_key.second == op.version && state.live) {
+            drop_hits.push_back(Slice(ov_key.first));
           }
-          if (!live) break;  // Already deleted: a successful no-op.
-          plan.action = Action::kDel;
-          if (options_.aof.log_deletes) {
-            plan.slot = slots.size();
-            slots.push_back({Slice(op.key), op.version, aof::kFlagTombstone,
+        }
+        plan.hit_end = drop_hits.size();
+        if (options_.aof.log_deletes) {
+          plan.slot = slots.size();
+          for (size_t h = plan.hit_begin; h < plan.hit_end; ++h) {
+            slots.push_back({drop_hits[h], op.version, aof::kFlagTombstone,
                              Slice(), Slice()});
           }
-          overlay[{key_view, op.version}] = OverlayState{false};
-          break;
         }
-        case WriteOpKind::kDropVersion: {
-          plan.action = Action::kDrop;
-          plan.hit_begin = drop_hits.size();
-          // Index pass: live pairs of this version the group has not
-          // already re-decided (the overlay pass covers those).
-          for (MemIndex::Iterator it = idx->NewIterator(); it.Valid();
-               it.Next()) {
-            MemEntry* entry = it.entry();
-            if (entry->version != op.version || entry->deleted) continue;
-            const Slice entry_key = entry->user_key();
-            if (overlay.count({std::string_view(entry_key.data(),
-                                                entry_key.size()),
-                               op.version}) != 0) {
-              continue;
-            }
-            drop_hits.push_back(entry_key);
-          }
-          for (const auto& [ov_key, state] : overlay) {
-            if (ov_key.second == op.version && state.live) {
-              drop_hits.push_back(Slice(ov_key.first));
-            }
-          }
-          plan.hit_end = drop_hits.size();
-          if (options_.aof.log_deletes) {
-            plan.slot = slots.size();
-            for (size_t h = plan.hit_begin; h < plan.hit_end; ++h) {
-              slots.push_back({drop_hits[h], op.version, aof::kFlagTombstone,
-                               Slice(), Slice()});
-            }
-          }
-          for (size_t h = plan.hit_begin; h < plan.hit_end; ++h) {
-            overlay[{std::string_view(drop_hits[h].data(),
-                                      drop_hits[h].size()),
-                     op.version}] = OverlayState{false};
-          }
-          break;
+        for (size_t h = plan.hit_begin; h < plan.hit_end; ++h) {
+          overlay[{std::string_view(drop_hits[h].data(), drop_hits[h].size()),
+                   op.version}] = OverlayState{false};
         }
+        break;
       }
     }
   }
 
-  // --- Append: every record of the group, one vectored call. One segment
+  // --- Append: every record of the batch, one vectored call. One segment
   // append + one roll check + one occupancy update per run instead of N.
   std::vector<aof::RecordAddress> addresses;
   if (!slots.empty()) {
     Status s = aof_->AppendMany(slots.data(), slots.size(), &addresses);
     if (!s.ok()) {
       s = NoteWriteError(std::move(s));
-      // The group commits or fails as one append, like a lone Put whose
-      // AppendRecord failed. Ops already rejected during planning keep
-      // their more specific statuses.
-      for (size_t b = 0; b < group.size(); ++b) {
-        WriteBatch& batch = *group[b]->batch;
-        for (size_t oi = 0; oi < batch.ops_.size(); ++oi) {
-          if (plans[b][oi].action != Action::kSkip) batch.statuses_[oi] = s;
-        }
-        group[b]->overall = s;
+      // The batch commits or fails as one append, like a lone Put whose
+      // append failed. Ops already rejected during planning keep their
+      // more specific statuses.
+      for (size_t oi = 0; oi < batch.ops_.size(); ++oi) {
+        if (plans[oi].action != Action::kSkip) batch.statuses_[oi] = s;
       }
-      return;
+      return s;
     }
   }
 
   // --- Apply: memtable mutations strictly in op order, so a concurrent
-  // lock-free reader can observe a prefix of the group but never a key's
+  // lock-free reader can observe a prefix of the batch but never a key's
   // version chain with an op applied out of order (a dedup entry always
   // lands after the base value it tracebacks to). Occupancy updates are
   // deferred into one MarkDeadMany.
@@ -986,66 +731,63 @@ void Shard::CommitGroupLocked(const std::vector<PendingWrite*>& group) {
   bool any_applied_delete = false;
   std::vector<std::pair<aof::RecordAddress, uint64_t>> dead;
   const DeadSink sink{nullptr, &dead, cache_.get()};
-  for (size_t b = 0; b < group.size(); ++b) {
-    WriteBatch& batch = *group[b]->batch;
-    for (size_t oi = 0; oi < batch.ops_.size(); ++oi) {
-      const WriteOp& op = batch.ops_[oi];
-      const PlannedOp& plan = plans[b][oi];
-      switch (plan.action) {
-        case Action::kSkip:
-          break;
-        case Action::kPut: {
-          MemEntry* old = idx->FindExact(op.key, op.version);
-          if (old != nullptr) {
-            // Re-PUT of the same versioned key supersedes the previous
-            // record (possibly one from earlier in this very group).
-            sink.MarkDead(aof::RecordAddress::Unpack(old->address),
-                          EntryExtent(old));
-          }
-          idx->Insert(op.key, op.version, addresses[plan.slot].Pack(),
-                      static_cast<uint32_t>(op.value.size()), op.dedup);
-          ++stats_->puts;
-          ++shard_puts_;
-          if (op.dedup) ++stats_->dedup_puts;
-          ingested += op.key.size() + op.value.size();
-          break;
+  for (size_t oi = 0; oi < batch.ops_.size(); ++oi) {
+    const WriteOp& op = batch.ops_[oi];
+    const PlannedOp& plan = plans[oi];
+    switch (plan.action) {
+      case Action::kSkip:
+        break;
+      case Action::kPut: {
+        MemEntry* old = idx->FindExact(op.key, op.version);
+        if (old != nullptr) {
+          // Re-PUT of the same versioned key supersedes the previous record
+          // (possibly one from earlier in this very batch).
+          sink.MarkDead(aof::RecordAddress::Unpack(old->address),
+                        EntryExtent(old));
         }
-        case Action::kDel: {
-          MemEntry* entry = idx->FindExact(op.key, op.version);
+        idx->Insert(op.key, op.version, addresses[plan.slot].Pack(),
+                    static_cast<uint32_t>(op.value.size()), op.dedup);
+        ++stats_->puts;
+        ++shard_puts_;
+        if (op.dedup) ++stats_->dedup_puts;
+        ingested += op.key.size() + op.value.size();
+        break;
+      }
+      case Action::kDel: {
+        MemEntry* entry = idx->FindExact(op.key, op.version);
+        if (entry != nullptr &&
+            !entry->deleted.exchange(true, std::memory_order_acq_rel)) {
+          ++stats_->dels;
+          ++shard_dels_;
+          any_applied_delete = true;
+          ApplyDeleteAccounting(*idx, sink, entry);
+        }
+        if (plan.slot != SIZE_MAX) {
+          // Tombstones are dead on arrival for occupancy purposes.
+          sink.MarkDead(addresses[plan.slot],
+                        aof::RecordExtent(op.key.size(), 0));
+        }
+        break;
+      }
+      case Action::kDrop: {
+        uint64_t flagged = 0;
+        for (size_t h = plan.hit_begin; h < plan.hit_end; ++h) {
+          MemEntry* entry = idx->FindExact(drop_hits[h], op.version);
           if (entry != nullptr &&
               !entry->deleted.exchange(true, std::memory_order_acq_rel)) {
             ++stats_->dels;
             ++shard_dels_;
+            ++flagged;
             any_applied_delete = true;
             ApplyDeleteAccounting(*idx, sink, entry);
           }
           if (plan.slot != SIZE_MAX) {
-            // Tombstones are dead on arrival for occupancy purposes.
-            sink.MarkDead(addresses[plan.slot],
-                          aof::RecordExtent(op.key.size(), 0));
+            sink.MarkDead(addresses[plan.slot + (h - plan.hit_begin)],
+                          aof::RecordExtent(drop_hits[h].size(), 0));
           }
-          break;
         }
-        case Action::kDrop: {
-          uint64_t flagged = 0;
-          for (size_t h = plan.hit_begin; h < plan.hit_end; ++h) {
-            MemEntry* entry = idx->FindExact(drop_hits[h], op.version);
-            if (entry != nullptr &&
-                !entry->deleted.exchange(true, std::memory_order_acq_rel)) {
-              ++stats_->dels;
-              ++shard_dels_;
-              ++flagged;
-              any_applied_delete = true;
-              ApplyDeleteAccounting(*idx, sink, entry);
-            }
-            if (plan.slot != SIZE_MAX) {
-              sink.MarkDead(addresses[plan.slot + (h - plan.hit_begin)],
-                            aof::RecordExtent(drop_hits[h].size(), 0));
-            }
-          }
-          batch.dropped_[oi] = flagged;
-          break;
-        }
+        batch.dropped_[oi] = flagged;
+        break;
       }
     }
   }
@@ -1053,23 +795,21 @@ void Shard::CommitGroupLocked(const std::vector<PendingWrite*>& group) {
   shard_bytes_ingested_.fetch_add(ingested, std::memory_order_relaxed);
   aof_->MarkDeadMany(dead);
 
-  // Per-batch overall: the first failing per-op status, like the return of
-  // the equivalent single-op call sequence.
-  for (PendingWrite* member : group) {
-    member->overall = Status::OK();
-    for (const Status& s : member->batch->statuses_) {
-      if (!s.ok()) {
-        member->overall = s;
-        break;
-      }
+  // Overall: the first failing per-op status, like the return of the
+  // equivalent single-op call sequence.
+  Status overall;
+  for (const Status& s : batch.statuses_) {
+    if (!s.ok()) {
+      overall = s;
+      break;
     }
   }
 
-  // Maintenance runs once per group, at the same boundaries the single-op
-  // path used: the interval checkpoint on ingested bytes, the lazy GC when
-  // a segment sealed or a delete freed space. A maintenance failure leaves
-  // the group's data committed but surfaces as every batch's overall
-  // status — exactly how a lone Put reports a failed interval checkpoint.
+  // Maintenance runs once per batch: the interval checkpoint on ingested
+  // bytes, the lazy GC when a segment sealed or a delete freed space. A
+  // maintenance failure leaves the batch's data committed but surfaces as
+  // its overall status — exactly how a lone Put reports a failed interval
+  // checkpoint.
   Status maintenance;
   if (options_.checkpoint_interval_bytes > 0 &&
       shard_bytes_ingested_.load(std::memory_order_relaxed) -
@@ -1085,10 +825,9 @@ void Shard::CommitGroupLocked(const std::vector<PendingWrite*>& group) {
       (any_applied_delete || aof_->active_segment() != segment_before)) {
     maintenance = MaybeGcLocked();  // Applies NoteWriteError internally.
   }
-  if (!maintenance.ok()) {
-    for (PendingWrite* member : group) member->overall = maintenance;
-  }
+  if (!maintenance.ok()) overall = maintenance;
   MaybeUnloadIndexLocked();
+  return overall;
 }
 
 // ---------------------------------------------------------------------------
@@ -1108,9 +847,9 @@ Status Shard::IngestRun(uint64_t version, const IngestOp* ops, size_t count) {
   if (Status w = CheckWritable(); !w.ok()) return w;
   if (count == 0) return Status::OK();
 
-  // Validate and pre-encode the whole run OUTSIDE the shard lock — like the
-  // group-commit enqueue path, the CRC over the values is the dominant cost
-  // and must not serialize behind the committer. Unlike a WriteBatch, a run
+  // Validate and pre-encode the whole run OUTSIDE the shard lock — like
+  // Write, the CRC over the values is the dominant cost and must not
+  // serialize behind the committer. Unlike a WriteBatch, a run
   // fails whole on an invalid op: a slice is re-sent, never patched per-op.
   std::string encoded;
   std::vector<std::pair<size_t, size_t>> spans(count);
@@ -1389,8 +1128,7 @@ Status Shard::MaybeGcLocked() {
     return Status::OK();
   }
   if (aof_->GcVictims().empty()) return Status::OK();
-  if (options_.defer_gc_during_reads &&
-      reads_in_flight_->load(std::memory_order_relaxed) > 0) {
+  if (reads_in_flight_->load(std::memory_order_relaxed) > 0) {
     const double usage = static_cast<double>(env_->TotalFileBytes()) /
                          static_cast<double>(env_->CapacityBytes());
     if (usage < options_.gc_space_pressure) {

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <set>
@@ -39,7 +38,7 @@ struct IngestOp {
 };
 
 /// One shard of QinDB: a complete single-stream engine — memtable skip list,
-/// AOF segment set with occupancy/GC, group-commit queue, checkpoint — over
+/// AOF segment set with occupancy/GC, batched write path, checkpoint — over
 /// a hash-assigned subset of the key space. This class IS the pre-sharding
 /// engine; the QinDb facade routes keys to shards, splits WriteBatches into
 /// per-shard sub-batches, and stitches results back together.
@@ -69,41 +68,12 @@ class Shard {
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
 
-  /// One writer's batch waiting in the group-commit queue. Lives on the
-  /// waiting thread's stack; the leader publishes `overall` and `done`
-  /// under batch_mu_, and the owner cannot return before observing done.
-  struct PendingWrite {
-    explicit PendingWrite(WriteBatch* b) : batch(b) {}
-    WriteBatch* batch;
-    bool done = false;
-    Status overall;
-    /// Record bytes for the batch's valid Put ops, encoded (checksums and
-    /// all) by the OWNING thread before it enqueued — the dominant per-op
-    /// cost runs in parallel across writers instead of on the leader.
-    /// `spans[i]` is (offset, length) into `encoded` for op i; length 0
-    /// means not pre-encoded (non-Put or invalid — the leader decides).
-    std::string encoded;
-    std::vector<std::pair<size_t, size_t>> spans;
-  };
-
-  /// Applies the batch's ops strictly in order through this shard's
-  /// committer. The facade calls this directly when every op of a Write
-  /// landed on one shard (the hot path — no sub-batch copies).
+  /// The shard's only mutation path: applies the batch's ops strictly in
+  /// order. Put records are encoded (checksums and all) on the calling
+  /// thread with no lock held; then, under write_mutex_, the batch is
+  /// planned, appended with one AofManager::AppendMany and applied to the
+  /// memtable. Fills per-op statuses and returns the first failing one.
   Status Write(WriteBatch& batch) EXCLUDES(write_mutex_);
-
-  /// Split write protocol for cross-shard batches: the facade enqueues one
-  /// PendingWrite per involved shard (ascending shard order), then completes
-  /// them in the same order, so sub-batches commit in parallel under the
-  /// shards' independent leaders. EnqueueWrite pre-encodes the sub-batch's
-  /// Put records on the calling thread and parks nothing; CompleteWrite runs
-  /// the park-or-lead loop and returns the sub-batch's overall status.
-  /// `pending->batch` must stay alive until CompleteWrite returns.
-  void EnqueueWrite(PendingWrite* pending) EXCLUDES(write_mutex_, batch_mu_);
-  Status CompleteWrite(PendingWrite* pending) EXCLUDES(write_mutex_);
-
-  /// Ungrouped sub-batch commit (group_commit off): one lock hold, legacy
-  /// per-record appends.
-  Status WriteUngrouped(WriteBatch& batch) EXCLUDES(write_mutex_);
 
   // --- Bulk ingest (Bifrost over the wire) ------------------------------
   //
@@ -120,10 +90,9 @@ class Shard {
   Status IngestBegin(uint64_t version) EXCLUDES(write_mutex_);
 
   /// Validates + pre-encodes the run off-lock, then lands it with ONE
-  /// vectored AofManager::AppendMany — no group-commit queue, no per-op
-  /// planning, no memtable work until commit. A failed run fails whole
-  /// (AppendMany rolls back its occupancy accounting); the session
-  /// survives for a retry or abort.
+  /// vectored AofManager::AppendMany — no per-op planning, no memtable
+  /// work until commit. A failed run fails whole (AppendMany rolls back its
+  /// occupancy accounting); the session survives for a retry or abort.
   Status IngestRun(uint64_t version, const IngestOp* ops, size_t count)
       EXCLUDES(write_mutex_);
 
@@ -268,20 +237,14 @@ class Shard {
   /// boundaries (commit tail, checkpoint tail, materialize tail).
   void MaybeUnloadIndexLocked() REQUIRES(write_mutex_);
 
-  // Legacy single-append mutation bodies (group_commit off). Shared by the
-  // public entry points and the ungrouped WriteBatch path.
-  Status PutLocked(const Slice& key, uint64_t version, const Slice& value,
-                   bool dedup) REQUIRES(write_mutex_);
-  Status DelLocked(const Slice& key, uint64_t version)
+  /// Write's locked half: plans every op in order, appends all records
+  /// with one AofManager::AppendMany, applies the memtable mutations in op
+  /// order, and stamps per-op statuses into the batch. `spans[i]` is
+  /// (offset, length) into `encoded` for op i's pre-encoded record; length
+  /// 0 means not pre-encoded (non-Put or invalid — planning decides).
+  Status CommitLocked(WriteBatch& batch, const std::string& encoded,
+                      const std::vector<std::pair<size_t, size_t>>& spans)
       REQUIRES(write_mutex_);
-  Result<uint64_t> DropVersionLocked(uint64_t version)
-      REQUIRES(write_mutex_);
-
-  /// The leader's commit: plans every op in order, appends all records with
-  /// one AofManager::AppendMany, applies the memtable mutations in op order,
-  /// and stamps per-op statuses + per-batch overall results into the group.
-  void CommitGroupLocked(const std::vector<PendingWrite*>& group)
-      REQUIRES(write_mutex_) EXCLUDES(batch_mu_);
 
   friend class QinDb;
 
@@ -297,7 +260,6 @@ class Shard {
   /// Declared before the mutexes so the pointers are valid at their
   /// construction.
   const std::string write_name_;
-  const std::string queue_name_;
   const std::string pin_name_;
 
   /// Serializes all mutations on THIS shard. Same rank as every other
@@ -306,18 +268,6 @@ class Shard {
   /// immediate abort, which is the sharding discipline — shards are visited
   /// one at a time, never nested.
   Mutex write_mutex_;
-
-  /// The group-commit pending queue. Writers enqueue under it *before*
-  /// contending on write_mutex_, so batches pile up while a leader commits;
-  /// the queue FRONT is the only thread that ever touches write_mutex_ —
-  /// everyone else parks on batch_cv_ and returns as soon as a leader marks
-  /// its batch done, without a write_mutex_ handoff per follower. Taken
-  /// either standalone (enqueue/park) or under write_mutex_ (drain/publish)
-  /// — never the other way around — and nothing is acquired while holding
-  /// it.
-  Mutex batch_mu_;
-  CondVar batch_cv_{&batch_mu_};
-  std::deque<PendingWrite*> write_queue_ GUARDED_BY(batch_mu_);
 
   /// Guards the mem_ pointer itself (not the index contents). Readers take
   /// it briefly to copy the shared_ptr; GC takes it to swap in a rebuild.

@@ -5,16 +5,15 @@
 #include <string>
 #include <vector>
 
-#include "aof/record.h"
 #include "common/slice.h"
 #include "common/status.h"
 
 namespace directload::qindb {
 
 /// One mutation inside a WriteBatch. Owning strings (rather than slices)
-/// because a batch outlives the call that built it: under group commit the
-/// leader thread reads the ops of *other* threads' batches while those
-/// threads wait.
+/// because a batch outlives the call that built it: callers build a batch
+/// from transient buffers and commit it later, and the facade copies ops
+/// into per-shard sub-batches.
 enum class WriteOpKind : uint8_t {
   kPut = 0,
   kDel = 1,
@@ -46,7 +45,6 @@ class WriteBatch {
     op.version = version;
     if (!dedup) op.value = value.ToString();
     op.dedup = dedup;
-    approximate_bytes_ += aof::RecordExtent(op.key.size(), op.value.size());
     ops_.push_back(std::move(op));
   }
 
@@ -55,8 +53,6 @@ class WriteBatch {
     op.kind = WriteOpKind::kDel;
     op.key = key.ToString();
     op.version = version;
-    // Budget for the tombstone a delete may log.
-    approximate_bytes_ += aof::RecordExtent(op.key.size(), 0);
     ops_.push_back(std::move(op));
   }
 
@@ -64,7 +60,6 @@ class WriteBatch {
     WriteOp op;
     op.kind = WriteOpKind::kDropVersion;
     op.version = version;
-    approximate_bytes_ += aof::RecordHeader::kSize;
     ops_.push_back(std::move(op));
   }
 
@@ -72,16 +67,10 @@ class WriteBatch {
     ops_.clear();
     statuses_.clear();
     dropped_.clear();
-    approximate_bytes_ = 0;
   }
 
   size_t size() const { return ops_.size(); }
   bool empty() const { return ops_.empty(); }
-
-  /// Log-extent estimate, the input to the group-commit byte budget. An
-  /// estimate only: DropVersion appends one tombstone per flagged pair,
-  /// which is unknowable until commit time.
-  uint64_t ApproximateBytes() const { return approximate_bytes_; }
 
   const std::vector<WriteOp>& ops() const { return ops_; }
 
@@ -102,7 +91,6 @@ class WriteBatch {
   std::vector<WriteOp> ops_;
   std::vector<Status> statuses_;
   std::vector<uint64_t> dropped_;
-  uint64_t approximate_bytes_ = 0;
 };
 
 }  // namespace directload::qindb

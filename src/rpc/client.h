@@ -72,8 +72,8 @@ class RpcClient {
   Status Del(const Slice& key, uint64_t version) EXCLUDES(mu_);
 
   /// Ships `ops` as one kWriteBatch frame — the whole batch costs a single
-  /// round trip and the server commits it through the engines' group-commit
-  /// path. `statuses` (optional) receives one status per op, in op order.
+  /// round trip and the server commits it through the engines' batched
+  /// write path. `statuses` (optional) receives one status per op, in op order.
   /// Returns the first non-OK per-op status; transport-level failures come
   /// back as the usual connection statuses with `statuses` left empty
   /// (nothing is known about individual ops).

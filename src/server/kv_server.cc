@@ -39,6 +39,12 @@ constexpr int kPollSliceMs = 50;
 /// this budget is far more slack than a live client ever needs).
 constexpr int kWriteTimeoutMs = 5000;
 
+/// Bounds on the input a protocol-error teardown drains before closing: a
+/// peer still streaming the rest of a rejected frame gets this much (twice
+/// the largest negotiable frame) and this long to finish or close its side.
+constexpr size_t kTeardownDrainBytes = 2 * rpc::kMaxBulkBodyBytes;
+constexpr int kTeardownDrainMs = 1000;
+
 }  // namespace
 
 /// Per-connection state. The reader thread owns `decoder` and `limiter`
@@ -64,6 +70,37 @@ struct KvServer::Connection {
     MutexLock lock(&write_mu);
     if (!socket.SendAll(wire, kWriteTimeoutMs).ok()) {
       send_failures->fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+
+  /// Protocol-error teardown (reader thread only): sends `error`,
+  /// half-closes the write side so the peer reads the error frame and then
+  /// a clean EOF, and drains input — bounded in bytes and time, cut short
+  /// by server shutdown — before the caller lets the socket close. Closing
+  /// with unread input would make the kernel answer with a reset, which
+  /// fails the peer's in-progress send and can destroy the error frame
+  /// before the peer reads it.
+  void CloseAfterProtocolError(const rpc::Frame& error,
+                               const std::atomic<bool>& draining) {
+    Write(error);
+    {
+      // Under write_mu so the FIN never lands inside a worker's reply.
+      MutexLock lock(&write_mu);
+      socket.ShutdownWrite();
+    }
+    const SteadyClock::time_point deadline =
+        SteadyClock::now() + std::chrono::milliseconds(kTeardownDrainMs);
+    char buf[32 * 1024];
+    size_t drained = 0;
+    while (drained < kTeardownDrainBytes && !draining.load() &&
+           SteadyClock::now() < deadline) {
+      Result<size_t> n = socket.RecvSome(buf, sizeof(buf), kPollSliceMs);
+      if (!n.ok()) {
+        if (n.status().IsTimedOut()) continue;
+        return;  // Reset: nothing left to protect.
+      }
+      if (*n == 0) return;  // The peer closed its side too.
+      drained += *n;
     }
   }
 
@@ -235,7 +272,7 @@ void KvServer::ReaderLoop(std::shared_ptr<Connection> conn) {
         error.response = true;
         error.status = got.status().code();
         error.value = got.status().ToString();
-        conn->Write(error);
+        conn->CloseAfterProtocolError(error, draining_);
         alive = false;
         break;
       }
@@ -244,8 +281,10 @@ void KvServer::ReaderLoop(std::shared_ptr<Connection> conn) {
                       std::chrono::milliseconds(options_.idle_timeout_ms);
       if (frame.response) {
         counters_.stream_errors.fetch_add(1);
-        conn->Write(rpc::MakeResponse(
-            frame, Status::Protocol("client sent a response frame")));
+        conn->CloseAfterProtocolError(
+            rpc::MakeResponse(
+                frame, Status::Protocol("client sent a response frame")),
+            draining_);
         alive = false;
         break;
       }
@@ -314,7 +353,7 @@ void KvServer::WorkerLoop() {
       if (queue_.empty()) return;  // stopping_ && drained.
       run.push_back(std::move(queue_.front()));
       queue_.pop_front();
-      // Opportunistic group commit: when the head of the queue continues a
+      // Opportunistic write batching: when the head of the queue continues a
       // run of single-op writes, drain them in the same pass and execute
       // the run as one cluster batch. Only the contiguous front is taken,
       // so requests are still served strictly in arrival order.

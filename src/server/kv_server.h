@@ -35,7 +35,7 @@ struct KvServerOptions {
   size_t max_queued_requests = 1024;
   /// Workers opportunistically drain up to this many consecutive single-op
   /// write requests (PUT/DEL) from the queue front and execute them as one
-  /// cluster write batch — the serving-layer half of group commit: one
+  /// cluster write batch — the serving layer's write batching: one
   /// engine Write per involved node instead of one per request, each
   /// request still answered individually. <= 1 disables the drain.
   size_t max_write_batch = 32;

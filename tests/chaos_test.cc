@@ -313,8 +313,9 @@ void RunBatchCrashPoint(const std::string& point, uint32_t num_shards) {
   // Survivors of a post-checkpoint batch must be a gap-free prefix of the
   // batch's op subsequence ON EACH SHARD: sub-batches sit in independent
   // AOF tails that the crash clips separately, but within one shard the
-  // leader lays the group down in op order (at num_shards=1 there is one
-  // shard, and this is exactly the unsharded whole-batch prefix rule).
+  // vectored append lays the sub-batch down in op order (at num_shards=1
+  // there is one shard, and this is exactly the unsharded whole-batch
+  // prefix rule).
   auto check_prefix = [&](int b) {
     std::map<uint32_t, bool> shard_missing;
     for (int j = 0; j < kOpsPerBatch; ++j) {

@@ -2,11 +2,12 @@
 // a small mint::MintCluster, driven by RpcClients on real threads. Covers
 // the full request surface, pipelining, concurrent clients, a client dying
 // mid-frame, admission control, the protocol-corruption matrix at the
-// socket level, idle timeouts, and the graceful-drain guarantee: every
-// acknowledged PUT is readable after the server is restarted on the same
-// cluster.
+// socket level, graceful protocol-error teardown, idle timeouts, and the
+// graceful-drain guarantee: every acknowledged PUT is readable after the
+// server is restarted on the same cluster.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <map>
@@ -410,6 +411,66 @@ TEST_F(ServerSmokeTest, CorruptFramesGetErrorResponseAndTeardown) {
     EXPECT_TRUE(client.Get("corrupt", 1).status().IsNotFound());
   }
   EXPECT_GE(server_->counters().stream_errors.load(), 3u);
+}
+
+// A protocol-error teardown is graceful even while the client is still
+// streaming: the server sends its error frame, half-closes, and drains the
+// rest of the input before closing, so the client's send completes and it
+// reads the error frame followed by a clean EOF. Closing with unread input
+// instead makes the kernel answer with a reset. A tiny client receive
+// buffer and 100 rounds make a lost race show up.
+TEST_F(ServerSmokeTest, ProtocolErrorTeardownEndsInEofNeverAReset) {
+  StartCluster();
+  StartServer();
+
+  // A header declaring a body over the bound, followed by a tail the server
+  // never decodes: it is still in flight when the server rejects the stream.
+  rpc::Frame request;
+  request.op = rpc::Opcode::kPut;
+  request.request_id = 9;
+  request.version = 1;
+  request.key = "oversized";
+  request.value.assign(256 << 10, 'x');
+  std::string wire;
+  rpc::EncodeFrame(request, &wire);
+  EncodeFixed32(&wire[4], static_cast<uint32_t>(rpc::kMaxBodyBytes) + 1);
+
+  for (int round = 0; round < 100; ++round) {
+    SCOPED_TRACE(round);
+    Result<rpc::Socket> raw =
+        rpc::ConnectTo("127.0.0.1", server_->port(), 1000);
+    ASSERT_TRUE(raw.ok());
+    int tiny = 1;  // The kernel floor-clamps this to a few KiB.
+    ASSERT_EQ(::setsockopt(raw->fd(), SOL_SOCKET, SO_RCVBUF, &tiny,
+                           sizeof(tiny)),
+              0);
+    Status sent = raw->SendAll(wire, 5000);
+    ASSERT_TRUE(sent.ok()) << sent.ToString();
+
+    rpc::FrameDecoder decoder;
+    rpc::Frame response;
+    bool got_response = false, eof = false;
+    char buf[4096];
+    for (int spins = 0; spins < 100 && !eof; ++spins) {
+      Result<size_t> n = raw->RecvSome(buf, sizeof(buf), 100);
+      if (!n.ok()) {
+        ASSERT_TRUE(n.status().IsTimedOut())
+            << "teardown reset the connection: " << n.status().ToString();
+        continue;
+      }
+      if (*n == 0) {
+        eof = true;
+        break;
+      }
+      decoder.Append(buf, *n);
+      Result<bool> next = decoder.Next(&response);
+      ASSERT_TRUE(next.ok());
+      if (*next) got_response = true;
+    }
+    ASSERT_TRUE(got_response) << "no error frame before EOF";
+    ASSERT_TRUE(eof) << "connection not torn down";
+    EXPECT_EQ(response.status, StatusCode::kProtocol);
+  }
 }
 
 TEST_F(ServerSmokeTest, IdleConnectionsAreClosed) {

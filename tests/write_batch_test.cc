@@ -1,10 +1,11 @@
-// WriteBatch + group commit: ordering and per-op status semantics of
-// QinDb::Write, batch-internal visibility (a Del can target a Put from the
-// same batch), DropVersion inside a batch, the group_commit=false legacy
-// path agreeing with the batched path, and a concurrency property — readers
-// racing multi-op batches never observe a torn version chain (a dedup
-// version resolvable before its base value landed, a Corruption status, or
-// wrong bytes).
+// WriteBatch: ordering and per-op status semantics of QinDb::Write,
+// batch-internal visibility (a Del can target a Put from the same batch, a
+// dedup Put can trace back through a base written earlier in the batch),
+// DropVersion inside a batch, and a concurrency property — readers racing
+// multi-op batches never observe a torn version chain (a dedup version
+// resolvable before its base value landed, a Corruption status, or wrong
+// bytes) — at one shard, where every writer contends on the same shard
+// lock, and at four.
 
 #include <gtest/gtest.h>
 
@@ -124,10 +125,9 @@ TEST(WriteBatchTest, EmptyBatchIsANoOp) {
   EXPECT_TRUE(batch.statuses().empty());
 }
 
-TEST(WriteBatchTest, UngroupedPathMatchesGroupedSemantics) {
+TEST(WriteBatchTest, DedupPutTracesBackThroughSameBatchBase) {
   QinDbOptions options;
   options.num_shards = 1;
-  options.group_commit = false;
   Harness h(options);
   WriteBatch batch;
   batch.Put("k", 1, "v1");
@@ -183,8 +183,12 @@ std::string GroupValue(int writer, uint64_t group) {
          std::string(96, 'p');
 }
 
-TEST(WriteBatchTest, ConcurrentReadersNeverSeeTornChains) {
-  Harness h;
+class WriteBatchShardsTest : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(WriteBatchShardsTest, ConcurrentReadersNeverSeeTornChains) {
+  QinDbOptions options;
+  options.num_shards = GetParam();
+  Harness h(options);
   std::atomic<uint64_t> acked_groups[kPropWriters];
   for (auto& a : acked_groups) a.store(0);
   std::atomic<bool> done{false};
@@ -239,6 +243,9 @@ TEST(WriteBatchTest, ConcurrentReadersNeverSeeTornChains) {
   ASSERT_TRUE(scrub.ok());
   EXPECT_TRUE(scrub->clean());
 }
+
+INSTANTIATE_TEST_SUITE_P(Shards, WriteBatchShardsTest,
+                         ::testing::Values(1u, 4u));
 
 }  // namespace
 }  // namespace directload::qindb
