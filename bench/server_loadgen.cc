@@ -894,7 +894,6 @@ int main(int argc, char** argv) {
     mint_options.num_groups = 2;
     mint_options.nodes_per_group = 1;
     mint_options.replicas = 1;
-    mint_options.parallel_reads = false;
     mint_options.engine.aof.segment_bytes = 8 << 20;
     mint_options.engine.num_shards = static_cast<uint32_t>(config.shards);
     mint_options.engine.cache_bytes =

@@ -85,7 +85,6 @@ int RunServeMode(uint16_t port, int cache_mb) {
   options.num_groups = 2;
   options.nodes_per_group = 1;
   options.replicas = 1;
-  options.parallel_reads = false;
   options.engine.aof.segment_bytes = 8 << 20;
   options.engine.cache_bytes = static_cast<uint64_t>(cache_mb) << 20;
   mint::MintCluster cluster(options);

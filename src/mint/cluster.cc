@@ -1,7 +1,6 @@
 #include "mint/cluster.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "common/failpoint.h"
 #include "common/hash.h"
@@ -12,11 +11,14 @@ namespace directload::mint {
 
 namespace {
 
-// Fires once per replica attempt inside ParallelRead, before the engine is
+// Fires once per replica probe inside ReadReplicas, before the engine is
 // consulted — a probabilistic spec makes individual replicas flaky while
 // the group as a whole keeps serving, which is exactly the redundancy the
 // chaos harness wants to stress.
 DIRECTLOAD_FAILPOINT_DEFINE(fp_mint_replica_read, "mint_replica_read");
+
+// Fixed intra-DC network round trip added to every replica read.
+constexpr double kReadRttMicros = 200;
 
 }  // namespace
 
@@ -354,125 +356,53 @@ Status MintCluster::BulkAbort(uint64_t version) {
 }
 
 template <typename Fn>
-Result<MintCluster::ReadResult> MintCluster::ParallelRead(const Slice& key,
+Result<MintCluster::ReadResult> MintCluster::ReadReplicas(const Slice& key,
                                                           const Fn& fn) {
-  // Requests go to the group's nodes in parallel — one thread per live
-  // replica — and the caller sees the fastest live replica's answer (each
-  // node has its own clock, so the per-node elapsed device time is the
-  // replica's service latency). Every thread is joined before selection:
-  // no replica thread can outlive the cluster's node state, and picking
-  // the minimum simulated latency keeps the winner deterministic no matter
-  // how the OS schedules the threads.
+  // Every live replica is probed and the caller sees the fastest one's
+  // answer. Each node has its own clock, so the per-node elapsed device
+  // time is that replica's service latency whatever order the probes run
+  // in: the read is parallel in simulated time, and the winner (lowest
+  // latency, first probed on a tie) is deterministic.
   const int group = GroupOfLocked(key);
-  const std::vector<int>& members = GroupNodesLocked(group);
-  std::vector<int> live;
-  live.reserve(members.size());
-  for (int id : members) {
-    if (nodes_[id]->up()) live.push_back(id);
-  }
-  if (live.empty()) {
-    return Status::Unavailable("group " + std::to_string(group) +
-                               " is entirely down; no replica to read");
-  }
-
-  struct Attempt {
-    bool ok = false;
-    std::string value;
-    Status error = Status::OK();
-    double latency_micros = 0;
-  };
-  std::vector<Attempt> attempts(live.size());
-
-  auto run_one = [&](size_t slot) {
-    StorageNode* node = nodes_[live[slot]].get();
-    Attempt& attempt = attempts[slot];
+  ReadResult best;
+  bool found = false;
+  // Replaced by the failure of any replica that is probed.
+  Status last_error = Status::Unavailable(
+      "group " + std::to_string(group) +
+      " is entirely down; no replica to read");
+  for (int id : GroupNodesLocked(group)) {
+    StorageNode* node = nodes_[id].get();
+    if (!node->up()) continue;
 #if DIRECTLOAD_FAILPOINTS_COMPILED
     if (fp_mint_replica_read->armed()) {
       Status injected = fp_mint_replica_read->MaybeFail();
       if (!injected.ok()) {
         // The replica "answered" with a failure before touching the engine;
-        // selection below falls through to the surviving replicas.
-        attempt.error = std::move(injected);
-        attempt.latency_micros = options_.read_rtt_micros;
-        return;
+        // the surviving replicas still serve the read.
+        last_error = std::move(injected);
+        continue;
       }
     }
 #endif
     ReaderLock guard(node->lifecycle_mu());
     if (!node->up()) {
-      // Crashed between the live-replica scan and this thread running.
-      attempt.error = Status::Unavailable("replica failed mid-read");
-      attempt.latency_micros = options_.read_rtt_micros;
-      return;
+      // Crashed between the liveness hint above and taking the lock.
+      last_error = Status::Unavailable("replica failed mid-read");
+      continue;
     }
     const uint64_t before = node->clock()->NowMicros();
     Result<std::string> got = fn(node->db());
-    attempt.latency_micros =
+    const double latency_micros =
         static_cast<double>(node->clock()->NowMicros() - before) +
-        options_.read_rtt_micros;
-    if (got.ok()) {
-      attempt.ok = true;
-      attempt.value = std::move(got).value();
-    } else {
-      attempt.error = got.status();
-    }
-  };
-
-  if (options_.parallel_reads && live.size() > 1) {
-    std::vector<std::thread> threads;
-    threads.reserve(live.size());
-    for (size_t i = 0; i < live.size(); ++i) {
-      threads.emplace_back(run_one, i);  // Disjoint slots: no locking needed.
-    }
-    for (std::thread& t : threads) t.join();
-  } else {
-    for (size_t i = 0; i < live.size(); ++i) run_one(i);
-  }
-
-  // Feed the estimators before applying the timeout: a slow replica's
-  // samples must land in its window even when the timeout rejects them, or
-  // the estimate would never learn that the replica is slow.
-  for (size_t i = 0; i < live.size(); ++i) {
-    if (attempts[i].ok) {
-      nodes_[live[i]]->read_latency()->Record(attempts[i].latency_micros);
-    }
-  }
-
-  // The effective timeout: fixed when configured, otherwise derived from
-  // the fastest live replica's rolling p95 (<= 0 disables it, including
-  // while the estimators are still cold).
-  double timeout_micros = options_.read_timeout_micros;
-  if (timeout_micros == 0 && options_.auto_read_timeout) {
-    double best_p95 = -1;
-    for (int id : live) {
-      const double p95 = nodes_[id]->read_latency()->Quantile(
-          0.95, static_cast<size_t>(options_.read_timeout_min_samples));
-      if (p95 >= 0 && (best_p95 < 0 || p95 < best_p95)) best_p95 = p95;
-    }
-    if (best_p95 >= 0) {
-      timeout_micros = std::max(options_.read_timeout_floor_micros,
-                                best_p95 * options_.read_timeout_multiplier);
-    }
-  }
-
-  ReadResult best;
-  bool found = false;
-  Status last_error = Status::Unavailable(
-      "group " + std::to_string(group) + " produced no usable replica read");
-  for (size_t i = 0; i < live.size(); ++i) {
-    Attempt& attempt = attempts[i];
-    if (!attempt.ok) {
-      last_error = attempt.error;
+        kReadRttMicros;
+    if (!got.ok()) {
+      last_error = got.status();
       continue;
     }
-    if (timeout_micros > 0 && attempt.latency_micros > timeout_micros) {
-      last_error = Status::Unavailable("replica exceeded read timeout");
-      continue;
-    }
-    if (!found || attempt.latency_micros < best.latency_micros) {
-      best.value = std::move(attempt.value);
-      best.latency_micros = attempt.latency_micros;
-      best.served_by = live[i];
+    if (!found || latency_micros < best.latency_micros) {
+      best.value = std::move(got).value();
+      best.latency_micros = latency_micros;
+      best.served_by = id;
       found = true;
     }
   }
@@ -483,14 +413,14 @@ Result<MintCluster::ReadResult> MintCluster::ParallelRead(const Slice& key,
 Result<MintCluster::ReadResult> MintCluster::Get(const Slice& key,
                                                  uint64_t version) {
   ReaderLock cluster_guard(&cluster_mu_);
-  return ParallelRead(key, [&](qindb::QinDb* db) {
+  return ReadReplicas(key, [&](qindb::QinDb* db) {
     return db->Get(key, version);
   });
 }
 
 Result<MintCluster::ReadResult> MintCluster::GetLatest(const Slice& key) {
   ReaderLock cluster_guard(&cluster_mu_);
-  return ParallelRead(key, [&](qindb::QinDb* db) {
+  return ReadReplicas(key, [&](qindb::QinDb* db) {
     return db->GetLatest(key);
   });
 }

@@ -8,7 +8,6 @@
 
 #include <atomic>
 
-#include "common/latency_estimator.h"
 #include "common/result.h"
 #include "common/sim_clock.h"
 #include "common/slice.h"
@@ -19,6 +18,9 @@
 
 namespace directload::mint {
 
+/// Cluster shape and per-node hardware. Reads have no knobs of their own:
+/// every live replica is probed and the lowest simulated latency wins (see
+/// MintCluster).
 struct MintOptions {
   int num_groups = 2;
   int nodes_per_group = 3;
@@ -27,36 +29,6 @@ struct MintOptions {
   ssd::Geometry node_geometry;  // One simulated SSD per storage node.
   ssd::LatencyModel node_latency;
   qindb::QinDbOptions engine;
-
-  /// Fixed network round trip added to every remote read (intra-DC).
-  double read_rtt_micros = 200;
-
-  /// Fan reads out to the group's replicas on real threads (one per live
-  /// replica); false falls back to a sequential loop over the replicas.
-  /// Either way the winner is the fastest live replica by simulated
-  /// latency, so results are deterministic.
-  bool parallel_reads = true;
-
-  /// Per-replica read timeout in simulated microseconds (device time plus
-  /// RTT). Replies slower than this are treated as unavailable — the knob
-  /// that keeps one slow or recovering replica from serving reads the rest
-  /// of the group can answer faster. Zero derives the timeout from the
-  /// rolling per-replica latency estimate (see auto_read_timeout below);
-  /// negative disables the timeout outright.
-  double read_timeout_micros = 0;
-
-  /// When read_timeout_micros is 0, each read's effective timeout is
-  /// read_timeout_multiplier × the *fastest* live replica's rolling p95 —
-  /// the same estimator family that drives the coordinator's hedging delay
-  /// — clamped below by read_timeout_floor_micros. Using the fastest
-  /// replica's estimate is the point: a recovering replica's own (slow)
-  /// history must not buy it a long leash when its peers answer quickly.
-  /// Until some replica has read_timeout_min_samples recorded samples the
-  /// timeout stays disabled, so cold clusters never reject off noise.
-  bool auto_read_timeout = true;
-  double read_timeout_multiplier = 4.0;
-  double read_timeout_floor_micros = 2000;
-  int read_timeout_min_samples = 32;
 
   uint64_t seed = 1;
 };
@@ -85,10 +57,6 @@ class StorageNode {
   ssd::SsdEnv* env() { return env_.get(); }
   SharedMutex* lifecycle_mu() const { return &lifecycle_mu_; }
 
-  /// Rolling window of this replica's recent successful read latencies
-  /// (simulated micros, RTT included); feeds the derived read timeout.
-  LatencyEstimator* read_latency() { return &read_latency_; }
-
   /// Simulates a crash: the engine's memory (memtable, GC table) is lost;
   /// the AOFs on the simulated SSD survive. Blocks until in-flight requests
   /// against this node's engine have drained.
@@ -109,7 +77,6 @@ class StorageNode {
   // cannot see through an accessor without REQUIRES on every caller.
   std::unique_ptr<ssd::SsdEnv> env_;  // dl-lint: ignore(guarded-by-coverage)
   std::unique_ptr<qindb::QinDb> db_;  // dl-lint: ignore(guarded-by-coverage)
-  LatencyEstimator read_latency_;     // Internally locked.
   std::atomic<bool> up_{false};
   mutable SharedMutex lifecycle_mu_{LockRank::kMintNode,
                                     "StorageNode::lifecycle_mu_"};
@@ -119,19 +86,19 @@ class StorageNode {
 /// dispatched to node *groups* via H(k) — never directly to nodes, so
 /// group membership can change without redistributing stored pairs — and
 /// each pair is written to `replicas` nodes of its group, chosen by
-/// rendezvous hashing. Reads are sent to the group's nodes in parallel —
-/// one std::thread per live replica, every thread joined before the call
-/// returns — and the fastest live replica answers (first-result-wins by
-/// simulated latency), which hides slow or recovering nodes. Each node owns
-/// a private clock, env, and engine, so replica threads share no mutable
-/// state and the cluster holds no lock of its own beyond each node's
-/// lifecycle lock (see StorageNode); the engines themselves are internally
-/// thread-safe (see LockRank in common/lock_rank.h for the per-engine lock
-/// order the replica threads run under). Requests may race freely with
-/// FailNode/RecoverNode, and with AddNode too: the node/group tables are
-/// guarded by a cluster-level shared lock (rank kMintCluster) that every
-/// operation holds shared and AddNode holds exclusive, so membership growth
-/// waits out in-flight traffic instead of racing it undetected.
+/// rendezvous hashing. Reads are parallel in simulated time: every live
+/// node of the key's group is probed, one after another on the calling
+/// thread, and the replica with the lowest per-node latency (its own
+/// clock's device time plus a fixed RTT) answers, which hides slow or
+/// recovering nodes exactly as concurrent requests would. Each node owns a
+/// private clock, env, and engine, so no replica's latency depends on the
+/// order of the probes. The engines are internally thread-safe (see
+/// LockRank in common/lock_rank.h for the per-engine lock order), and
+/// requests may race freely with FailNode/RecoverNode (see StorageNode's
+/// lifecycle lock) and with AddNode: the node/group tables are guarded by
+/// a cluster-level shared lock (rank kMintCluster) that every operation
+/// holds shared and AddNode holds exclusive, so membership growth waits
+/// out in-flight traffic instead of racing it undetected.
 class MintCluster {
  public:
   explicit MintCluster(const MintOptions& options);
@@ -245,25 +212,19 @@ class MintCluster {
     return groups_[group];
   }
 
+  /// Probes every live member of the key's group with `fn` and returns the
+  /// lowest-latency success (see the class comment).
   template <typename Fn>
-  Result<ReadResult> ParallelRead(const Slice& key, const Fn& fn)
+  Result<ReadResult> ReadReplicas(const Slice& key, const Fn& fn)
       REQUIRES_SHARED(cluster_mu_);
 
   MintOptions options_;
   /// Guards the node/group membership tables: shared across every serving
-  /// operation, exclusive for AddNode. The replica threads ParallelRead
-  /// spawns read the table while their parent holds the shared lock across
-  /// their whole lifetime (spawn → join), which is why the fields carry no
-  /// GUARDED_BY — clang's analysis cannot see a parent's hold from inside
-  /// a lambda running on a child thread.
+  /// operation, exclusive for AddNode.
   mutable SharedMutex cluster_mu_{LockRank::kMintCluster,
                                   "MintCluster::cluster_mu_"};
-  // Both tables follow cluster_mu_'s documented protocol (see its comment
-  // for why GUARDED_BY cannot express it).
-  std::vector<std::unique_ptr<StorageNode>>
-      nodes_;  // dl-lint: ignore(guarded-by-coverage)
-  std::vector<std::vector<int>>
-      groups_;  // dl-lint: ignore(guarded-by-coverage)
+  std::vector<std::unique_ptr<StorageNode>> nodes_ GUARDED_BY(cluster_mu_);
+  std::vector<std::vector<int>> groups_ GUARDED_BY(cluster_mu_);
 };
 
 }  // namespace directload::mint

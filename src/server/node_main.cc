@@ -92,7 +92,6 @@ int main(int argc, char** argv) {
   mint_options.num_groups = 1;
   mint_options.nodes_per_group = 1;
   mint_options.replicas = 1;
-  mint_options.parallel_reads = false;
   mint_options.engine.aof.segment_bytes = 8 << 20;
   mint_options.engine.num_shards = static_cast<uint32_t>(config.shards);
   mint::MintCluster cluster(mint_options);

@@ -458,7 +458,6 @@ mint::MintOptions SmallClusterOptions() {
   options.num_groups = 2;
   options.nodes_per_group = 1;
   options.replicas = 1;
-  options.parallel_reads = false;
   options.engine.aof.segment_bytes = 4 << 20;
   return options;
 }

@@ -443,7 +443,6 @@ void RunSchedule(uint64_t seed, uint32_t num_shards,
   cluster_options.num_groups = 2;
   cluster_options.nodes_per_group = 2;
   cluster_options.replicas = 2;
-  cluster_options.parallel_reads = true;
   cluster_options.node_geometry = SmallGeometry();
   // Sharded engines on every node: an injected append fault degrades ONE
   // shard of one node; writes routed to the node's other shards keep
@@ -741,7 +740,6 @@ void RunBulkSchedule(uint64_t seed, uint32_t num_shards,
   cluster_options.num_groups = 2;
   cluster_options.nodes_per_group = 2;
   cluster_options.replicas = 2;
-  cluster_options.parallel_reads = true;
   cluster_options.node_geometry = SmallGeometry();
   cluster_options.engine.num_shards = num_shards;
   cluster_options.engine.aof.segment_bytes = 16 << 10;

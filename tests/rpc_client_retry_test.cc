@@ -124,7 +124,6 @@ TEST(RpcClientReconnectTest, ReconnectsAcrossServerRestartOnSamePort) {
   mint_options.num_groups = 1;
   mint_options.nodes_per_group = 1;
   mint_options.replicas = 1;
-  mint_options.parallel_reads = false;
   mint_options.engine.aof.segment_bytes = 4 << 20;
   mint::MintCluster cluster(mint_options);
   ASSERT_TRUE(cluster.Start().ok());

@@ -28,12 +28,11 @@ namespace {
 mint::MintOptions SmallClusterOptions() {
   mint::MintOptions options;
   // A compact topology keeps each test fast: two groups of one node each,
-  // no replication fan-out, sequential replica reads (no thread per read —
-  // the serving layer supplies the real-thread concurrency here).
+  // no replication fan-out (the serving layer supplies the real-thread
+  // concurrency here).
   options.num_groups = 2;
   options.nodes_per_group = 1;
   options.replicas = 1;
-  options.parallel_reads = false;
   options.engine.aof.segment_bytes = 4 << 20;
   return options;
 }
