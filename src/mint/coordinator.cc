@@ -21,9 +21,22 @@ using SteadyClock = std::chrono::steady_clock;
 DIRECTLOAD_FAILPOINT_DEFINE(fp_coord_replica_write, "coord_replica_write");
 
 // Fires once per read attempt (primary, hedge, and failover alike) before
-// its RPC — injected failures exercise the failover ladder without any
-// server-side cooperation.
+// its RPC is sent — injected failures exercise the failover ladder without
+// any server-side cooperation. It runs on the calling thread, so a delay
+// action stalls the whole read.
 DIRECTLOAD_FAILPOINT_DEFINE(fp_coord_read_attempt, "coord_read_attempt");
+
+// Per-replica send attempts for retryable write failures (kBusy and
+// transport errors), on top of the RPC client's own reconnect handling.
+// Each retry first sleeps a seeded draw from
+// [kWriteBackoffMs/2, kWriteBackoffMs], like the client's reconnect backoff.
+constexpr int kWriteAttempts = 2;
+constexpr int kWriteBackoffMs = 5;
+
+// The hedge fires after the primary's rolling p95 read latency, never
+// sooner than the floor.
+constexpr double kHedgeQuantile = 0.95;
+constexpr double kHedgeFloorMs = 1.0;
 
 /// A failure of the transport (or the peer's availability), as opposed to
 /// the server answering the operation with an error. Only these count as
@@ -45,24 +58,6 @@ std::string InventoryToken(const Slice& key, uint64_t version) {
 }
 
 }  // namespace
-
-/// Completion state shared between a hedged read's issuing thread and its
-/// detached attempt threads. First successful attempt wins; the issuing
-/// thread extracts the result, and losers just bump `finished` on the way
-/// out. The lock is a leaf (rank kMintHedge) taken by attempt threads only
-/// after every kMintCoord acquisition has been released.
-struct MintCoordinator::HedgeState {
-  Mutex mu{LockRank::kMintHedge, "HedgeState::mu"};
-  CondVar cv{&mu};
-  bool done GUARDED_BY(mu) = false;
-  int launched GUARDED_BY(mu) = 0;
-  int finished GUARDED_BY(mu) = 0;
-  std::string value GUARDED_BY(mu);
-  int served_by GUARDED_BY(mu) = -1;
-  int winner_slot GUARDED_BY(mu) = -1;
-  Status last_error GUARDED_BY(mu) =
-      Status::Unavailable("no read attempt made");
-};
 
 MintCoordinator::MintCoordinator(std::vector<std::vector<NodeEndpoint>> groups,
                                  CoordinatorOptions options)
@@ -106,10 +101,6 @@ void MintCoordinator::Stop() {
     cv_.SignalAll();
   }
   if (detector_.joinable()) detector_.join();
-  // Wait out detached read attempts: they hold `this` and must not outlive
-  // the coordinator.
-  MutexLock lock(&mu_);
-  while (active_attempts_ > 0) cv_.Wait();
 }
 
 int MintCoordinator::GroupOf(const Slice& key) const {
@@ -139,14 +130,6 @@ MintCoordinator::Counters MintCoordinator::counters() const {
   c.repair_pairs_copied =
       repair_pairs_copied_.load(std::memory_order_relaxed);
   return c;
-}
-
-double MintCoordinator::HedgeDelayMsFor(int node_id) {
-  const double q = nodes_[node_id]->latency_ms.Quantile(
-      options_.hedge_quantile,
-      static_cast<size_t>(options_.hedge_min_samples), /*fallback=*/-1.0);
-  if (q < 0) return options_.hedge_default_delay_ms;
-  return std::max(options_.hedge_floor_ms, q * options_.hedge_multiplier);
 }
 
 std::unique_ptr<rpc::RpcClient> MintCoordinator::AcquireClient(int node_id) {
@@ -227,17 +210,10 @@ std::vector<int> MintCoordinator::ReadOrder(int group) const {
   return order;
 }
 
-int MintCoordinator::JitteredBackoffMs(int attempt) {
-  int64_t base = options_.write_backoff_initial_ms;
-  for (int i = 1; i < attempt && base < 200; ++i) base *= 2;
-  base = std::min<int64_t>(base, 200);
-  if (base <= 0) return 0;
-  uint64_t jitter;
-  {
-    MutexLock lock(&mu_);
-    jitter = backoff_rng_.Uniform(static_cast<uint64_t>(base / 2 + 1));
-  }
-  return static_cast<int>(base - base / 2 + static_cast<int64_t>(jitter));
+int MintCoordinator::JitteredBackoffMs() {
+  MutexLock lock(&mu_);
+  return kWriteBackoffMs - kWriteBackoffMs / 2 +
+         static_cast<int>(backoff_rng_.Uniform(kWriteBackoffMs / 2 + 1));
 }
 
 // ---------------------------------------------------------------------------
@@ -251,11 +227,7 @@ Status MintCoordinator::Put(const Slice& key, uint64_t version,
   if (targets.empty()) {
     return Status::InvalidArgument("key maps to no replicas");
   }
-  const int quorum =
-      options_.write_quorum > 0
-          ? std::min<int>(options_.write_quorum,
-                          static_cast<int>(targets.size()))
-          : static_cast<int>(targets.size()) / 2 + 1;
+  const int quorum = static_cast<int>(targets.size()) / 2 + 1;
 
   int acks = 0;
   int attempts_total = 0;
@@ -277,11 +249,10 @@ Status MintCoordinator::Put(const Slice& key, uint64_t version,
     }
 #endif
     if (s.ok()) {
-      const int max_attempts = std::max(1, options_.write_attempts);
-      for (int attempt = 1; attempt <= max_attempts; ++attempt) {
+      for (int attempt = 1; attempt <= kWriteAttempts; ++attempt) {
         if (attempt > 1) {
           std::this_thread::sleep_for(
-              std::chrono::milliseconds(JitteredBackoffMs(attempt - 1)));
+              std::chrono::milliseconds(JitteredBackoffMs()));
         }
         std::unique_ptr<rpc::RpcClient> client = AcquireClient(id);
         s = client->Put(key, version, value, dedup);
@@ -356,78 +327,6 @@ Status MintCoordinator::Del(const Slice& key, uint64_t version) {
 // Hedged reads
 // ---------------------------------------------------------------------------
 
-void MintCoordinator::LaunchAttempt(int node_id, std::string key,
-                                    uint64_t version, bool latest,
-                                    std::shared_ptr<HedgeState> state,
-                                    int slot) {
-  bool stopping;
-  {
-    MutexLock lock(&mu_);
-    stopping = stopping_;
-    if (!stopping) ++active_attempts_;
-  }
-  if (stopping) {
-    MutexLock slock(&state->mu);
-    ++state->launched;
-    ++state->finished;
-    state->last_error = Status::Unavailable("coordinator is stopping");
-    state->cv.SignalAll();
-    return;
-  }
-  {
-    MutexLock slock(&state->mu);
-    ++state->launched;
-  }
-  std::thread([this, node_id, key = std::move(key), version, latest,
-               state = std::move(state), slot] {
-    const SteadyClock::time_point start = SteadyClock::now();
-    bool ok = false;
-    std::string value;
-    Status error;
-#if DIRECTLOAD_FAILPOINTS_COMPILED
-    if (fp_coord_read_attempt->armed()) {
-      error = fp_coord_read_attempt->MaybeFail();
-    }
-#endif
-    if (error.ok()) {
-      std::unique_ptr<rpc::RpcClient> client = AcquireClient(node_id);
-      Result<std::string> got = latest ? client->GetLatest(key)
-                                       : client->Get(key, version);
-      const Status& status = got.ok() ? Status::OK() : got.status();
-      const bool transport_ok = !IsTransportError(status);
-      ReleaseClient(node_id, std::move(client), transport_ok);
-      ReportNodeOutcome(node_id, transport_ok);
-      if (got.ok()) {
-        ok = true;
-        value = std::move(got).value();
-        nodes_[node_id]->latency_ms.Record(ElapsedMs(start));
-      } else {
-        error = got.status();
-      }
-    } else {
-      // Injected attempt failure: feed the detector exactly as a real
-      // transport failure would.
-      if (IsTransportError(error)) ReportNodeOutcome(node_id, false);
-    }
-    {
-      MutexLock slock(&state->mu);
-      ++state->finished;
-      if (ok && !state->done) {
-        state->done = true;
-        state->value = std::move(value);
-        state->served_by = node_id;
-        state->winner_slot = slot;
-      } else if (!ok) {
-        state->last_error = error;
-      }
-      state->cv.SignalAll();
-    }
-    MutexLock lock(&mu_);
-    --active_attempts_;
-    cv_.SignalAll();
-  }).detach();
-}
-
 Result<MintCoordinator::ReadResult> MintCoordinator::ReadInternal(
     const Slice& key, uint64_t version, bool latest) {
   const SteadyClock::time_point start = SteadyClock::now();
@@ -437,68 +336,139 @@ Result<MintCoordinator::ReadResult> MintCoordinator::ReadInternal(
     return Status::Unavailable("group " + std::to_string(group) +
                                " has no nodes");
   }
-  {
-    MutexLock lock(&mu_);
-    if (stopping_) return Status::Unavailable("coordinator is stopping");
-  }
+  const double p95 = nodes_[order[0]]->latency_ms.Quantile(
+      kHedgeQuantile, static_cast<size_t>(options_.hedge_min_samples),
+      /*fallback=*/-1.0);
+  const double hedge_ms =
+      p95 < 0 ? options_.hedge_default_delay_ms : std::max(kHedgeFloorMs, p95);
 
-  auto state = std::make_shared<HedgeState>();
-  const double hedge_ms = HedgeDelayMsFor(order[0]);
+  rpc::Frame request;
+  request.op = rpc::Opcode::kGet;
+  request.latest = latest;
+  request.version = version;
+  request.key = key.ToString();
+
+  // One attempt on the wire, on a client no one else holds. A loser is
+  // cancelled by dropping its client: the connection closes, so its late
+  // answer can never reach a later request.
+  struct Attempt {
+    int node_id;
+    std::unique_ptr<rpc::RpcClient> client;
+    uint64_t request_id;
+    bool hedge;
+    SteadyClock::time_point sent;
+  };
+  std::vector<Attempt> attempts;
   size_t next = 0;
-  LaunchAttempt(order[next], key.ToString(), version, latest, state,
-                static_cast<int>(next));
-  ++next;
-
   bool hedged = false;
-  while (true) {
-    bool launch_hedge = false;
-    bool exhausted = false;
-    Status failure;
-    {
-      MutexLock slock(&state->mu);
-      while (!state->done && state->finished < state->launched) {
-        if (options_.hedged_reads && !hedged && next < order.size()) {
-          if (!state->cv.WaitFor(std::chrono::duration_cast<
-                                 std::chrono::nanoseconds>(
-                  std::chrono::duration<double, std::milli>(hedge_ms)))) {
-            // The primary went silent past its p95-derived budget: fire
-            // the backup and race them.
-            launch_hedge = true;
-            break;
-          }
-        } else {
-          state->cv.Wait();
+  Status answered;  // First error a replica answered with (e.g. NotFound).
+  Status failure = Status::Unavailable("no read attempt made");
+
+  // A transport failure is a detector miss; any other error is the
+  // replica's answer.
+  const auto fail = [&](int node_id, const Status& s) {
+    if (IsTransportError(s)) {
+      ReportNodeOutcome(node_id, false);
+      failure = s;
+    } else if (answered.ok()) {
+      answered = s;
+    }
+  };
+  // Sends the read to the next candidate. Once a replica has answered,
+  // down nodes are skipped: only a live replica's answer is worth waiting
+  // for. An attempt that fails before it is on the wire moves straight on
+  // to the next candidate. False when the candidates are used up.
+  enum class Launch { kPrimary, kHedge, kFailover };
+  const auto send_next = [&](Launch why) {
+    while (next < order.size()) {
+      const int node_id = order[next++];
+      if (!answered.ok() && health(node_id) == NodeHealth::kDown) continue;
+      if (why == Launch::kHedge) {
+        hedged = true;
+        ++hedged_reads_;
+      } else if (why == Launch::kFailover) {
+        ++read_failovers_;
+      }
+      Status s;
+#if DIRECTLOAD_FAILPOINTS_COMPILED
+      if (fp_coord_read_attempt->armed()) {
+        s = fp_coord_read_attempt->MaybeFail();
+      }
+#endif
+      if (s.ok()) {
+        std::unique_ptr<rpc::RpcClient> client = AcquireClient(node_id);
+        request.request_id = client->NextRequestId();
+        s = client->Send(request);
+        if (s.ok()) {
+          attempts.push_back(Attempt{node_id, std::move(client),
+                                     request.request_id,
+                                     why == Launch::kHedge,
+                                     SteadyClock::now()});
+          return true;
         }
       }
-      if (state->done) {
-        ReadResult result;
-        result.value = std::move(state->value);
-        result.served_by = state->served_by;
-        result.hedged = hedged;
-        result.latency_ms = ElapsedMs(start);
-        if (state->winner_slot > 0) ++hedge_wins_;
-        return result;
-      }
-      if (!launch_hedge) {
-        // Every launched attempt failed; fail over to the next candidate
-        // immediately, or give up when the ladder is exhausted.
-        if (next >= order.size()) {
-          exhausted = true;
-          failure = state->last_error;
-        }
-      }
+      fail(node_id, s);
+      why = Launch::kFailover;
     }
-    if (exhausted) return failure;
-    if (launch_hedge) {
-      hedged = true;
-      ++hedged_reads_;
-    } else {
-      ++read_failovers_;
+    return false;
+  };
+
+  if (!send_next(Launch::kPrimary)) return answered.ok() ? failure : answered;
+  const auto hedge_delay = std::chrono::duration_cast<SteadyClock::duration>(
+      std::chrono::duration<double, std::milli>(hedge_ms));
+  const auto request_timeout =
+      std::chrono::milliseconds(options_.rpc.request_timeout_ms);
+
+  while (!attempts.empty()) {
+    // Attempts sit in send order, and until the hedge fires exactly one is
+    // in flight: the primary, or the failover that replaced it.
+    const bool can_hedge = !hedged && next < order.size();
+    const SteadyClock::time_point sent = attempts.front().sent;
+    const SteadyClock::time_point hedge_at = sent + hedge_delay;
+    const SteadyClock::time_point expires = sent + request_timeout;
+    std::vector<rpc::RpcClient*> clients;
+    for (const Attempt& a : attempts) clients.push_back(a.client.get());
+    size_t index;
+    Result<rpc::Frame> got = rpc::RpcClient::ReceiveFirst(
+        clients, can_hedge ? std::min(hedge_at, expires) : expires, &index);
+    if (index == attempts.size()) {
+      const SteadyClock::time_point now = SteadyClock::now();
+      if (can_hedge && now >= hedge_at) {
+        // The attempt went silent past the primary's p95: race a backup
+        // against it.
+        send_next(Launch::kHedge);
+        continue;
+      }
+      if (now < expires) continue;
+      index = 0;
+      got = Status::TimedOut("request deadline expired");
     }
-    LaunchAttempt(order[next], key.ToString(), version, latest, state,
-                  static_cast<int>(next));
-    ++next;
+    Attempt attempt = std::move(attempts[index]);
+    attempts.erase(attempts.begin() + static_cast<std::ptrdiff_t>(index));
+    const bool clean = got.ok() && got->request_id == attempt.request_id;
+    const Status status =
+        !got.ok() ? got.status()
+        : !clean  ? Status::Protocol("response to another request")
+                  : rpc::StatusFromWire(got->status, got->value);
+    ReleaseClient(attempt.node_id, std::move(attempt.client), clean);
+    if (!IsTransportError(status)) ReportNodeOutcome(attempt.node_id, true);
+    if (!status.ok()) {
+      fail(attempt.node_id, status);
+      send_next(Launch::kFailover);
+      continue;
+    }
+    nodes_[attempt.node_id]->latency_ms.Record(ElapsedMs(attempt.sent));
+    if (attempt.hedge) ++hedge_wins_;
+    ReadResult result;
+    result.value = std::move(got->value);
+    result.served_by = attempt.node_id;
+    result.hedged = hedged;
+    result.latency_ms = ElapsedMs(start);
+    return result;  // The losers' connections close with `attempts`.
   }
+  // A replica's answer (NotFound, typically) outranks any transport error:
+  // it is what the data says, and a down node has nothing to add.
+  return answered.ok() ? failure : answered;
 }
 
 Result<MintCoordinator::ReadResult> MintCoordinator::Get(const Slice& key,

@@ -32,36 +32,17 @@ enum class NodeHealth { kUp, kSuspect, kDown };
 
 struct CoordinatorOptions {
   /// Copies per pair, chosen by rendezvous hashing within the key's group.
+  /// A write is durable once a majority of them (2 of 3) ack — what makes
+  /// "SIGKILL one replica" lose zero acked writes, since every ack then
+  /// has a surviving copy.
   int replicas = 3;
 
-  /// Replica acks required before a write is reported durable to the
-  /// caller. 0 derives a majority of the key's replica set (2 of 3) — the
-  /// default that makes "SIGKILL one replica" lose zero acked writes, since
-  /// every ack then has a surviving copy.
-  int write_quorum = 0;
-
-  /// Per-replica send attempts for retryable failures (kBusy and transport
-  /// errors), on top of the RPC client's own reconnect handling. The delay
-  /// before attempt k doubles from write_backoff_initial_ms, jittered to
-  /// [base/2, base] like the client's reconnect backoff.
-  int write_attempts = 2;
-  int write_backoff_initial_ms = 5;
-
   // -- Hedged reads ("Tail-Tolerant Distributed Search") -------------------
-  /// Send the read to the preferred replica; if it has not answered within
-  /// the hedge delay, fire a backup attempt at the next candidate and take
-  /// whichever answers first. The loser is abandoned (its thread drains on
-  /// its own deadline) — the DLP1 protocol has no cancel, and the pooled
-  /// client is only reused after its call fully completes, so an abandoned
-  /// response can never bleed into a later request.
-  bool hedged_reads = true;
-  /// Hedge after hedge_multiplier × the primary's rolling
-  /// hedge_quantile latency (the p95-derived delay), never below the
-  /// floor; until the primary has hedge_min_samples samples, after
-  /// hedge_default_delay_ms.
-  double hedge_quantile = 0.95;
-  double hedge_multiplier = 1.0;
-  double hedge_floor_ms = 1.0;
+  /// The read goes to the preferred replica; if it has not answered within
+  /// the hedge delay, a backup goes to the next candidate and whichever
+  /// answers first wins. The delay is the primary's rolling p95 read
+  /// latency (never below 1 ms); until the primary has hedge_min_samples
+  /// samples, it is hedge_default_delay_ms.
   double hedge_default_delay_ms = 20.0;
   int hedge_min_samples = 16;
 
@@ -101,11 +82,12 @@ struct CoordinatorOptions {
 /// MintCluster via mint/routing.h, so a coordinator and a cluster given the
 /// same topology agree on where every pair lives.
 ///
-/// Thread-safe. Lock order: mu_ (rank kMintCoord) guards the node table
-/// (health, miss counters, client pools) and is only ever taken standalone;
-/// each hedged read owns a HedgeState lock (rank kMintHedge), also a leaf.
-/// Attempt threads are detached — Stop() gates on the active-attempt count,
-/// so no thread outlives the coordinator.
+/// Thread-safe. Every read and write runs on the calling thread: a hedged
+/// read pipelines its attempts over pooled clients and waits on their
+/// sockets together (rpc::RpcClient::ReceiveFirst), so the only thread the
+/// coordinator owns is the failure detector. mu_ (rank kMintCoord) guards
+/// the node table (health, miss counters, client pools) and is only ever
+/// taken standalone.
 class MintCoordinator {
  public:
   /// `groups[g]` lists group g's node endpoints; node ids are assigned
@@ -121,7 +103,7 @@ class MintCoordinator {
   /// reachable yet — unreachable nodes simply accumulate misses.
   Status Start();
 
-  /// Stops the detector and waits out in-flight read attempts. Idempotent.
+  /// Stops and joins the detector. Idempotent.
   void Stop();
 
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
@@ -141,7 +123,7 @@ class MintCoordinator {
   };
 
   /// Replicates the put to the key's rendezvous replicas, one ack per
-  /// replica, and succeeds once `write_quorum` acks are in. Down nodes are
+  /// replica, and succeeds once a majority has acked. Down nodes are
   /// skipped (routed around); replicas that miss the write are healed by
   /// RepairNode.
   Status Put(const Slice& key, uint64_t version, const Slice& value,
@@ -154,7 +136,7 @@ class MintCoordinator {
   struct ReadResult {
     std::string value;
     int served_by = -1;     // Node id that answered.
-    bool hedged = false;    // A backup attempt was launched.
+    bool hedged = false;    // The hedge timer sent a backup attempt.
     double latency_ms = 0;  // Wall time of the whole read.
   };
 
@@ -180,16 +162,12 @@ class MintCoordinator {
     uint64_t write_quorum_failures = 0;
     uint64_t replica_write_failures = 0;
     uint64_t hedged_reads = 0;   // Backup attempts launched by the timer.
-    uint64_t hedge_wins = 0;     // Reads won by a non-primary attempt.
+    uint64_t hedge_wins = 0;     // Reads won by a timer-launched backup.
     uint64_t read_failovers = 0; // Attempts launched by a failed attempt.
     uint64_t heartbeat_misses = 0;
     uint64_t repair_pairs_copied = 0;
   };
   Counters counters() const;
-
-  /// The hedge delay the next read of this node's group would use; exposed
-  /// for tests and the load generator's reporting.
-  double HedgeDelayMsFor(int node_id);
 
  private:
   struct Node {
@@ -206,14 +184,10 @@ class MintCoordinator {
     LatencyEstimator latency_ms;
   };
 
-  struct HedgeState;
-
+  /// Primary, hedge and failover attempts of one read, all driven by the
+  /// calling thread.
   Result<ReadResult> ReadInternal(const Slice& key, uint64_t version,
                                   bool latest);
-  /// Spawns one detached read attempt against `node_id`.
-  void LaunchAttempt(int node_id, std::string key, uint64_t version,
-                     bool latest, std::shared_ptr<HedgeState> state, int slot)
-      EXCLUDES(mu_);
 
   std::unique_ptr<rpc::RpcClient> AcquireClient(int node_id) EXCLUDES(mu_);
   void ReleaseClient(int node_id, std::unique_ptr<rpc::RpcClient> client,
@@ -224,10 +198,12 @@ class MintCoordinator {
 
   /// Read candidates for a group: up nodes first (fastest rolling p95
   /// first), then suspects, then down nodes as a last resort — a down node
-  /// may have restarted before the detector noticed.
+  /// may have restarted before the detector noticed, so a read tries it
+  /// while no replica has answered yet.
   std::vector<int> ReadOrder(int group) const EXCLUDES(mu_);
 
-  int JitteredBackoffMs(int attempt) EXCLUDES(mu_);
+  /// The jittered delay before a write retry.
+  int JitteredBackoffMs() EXCLUDES(mu_);
 
   void DetectorLoop();
 
@@ -244,9 +220,8 @@ class MintCoordinator {
   std::vector<std::vector<int>> groups_;      // Immutable after ctor.
 
   mutable Mutex mu_{LockRank::kMintCoord, "MintCoordinator::mu_"};
-  CondVar cv_{&mu_};  // Detector sleep + Stop()'s attempt drain.
+  CondVar cv_{&mu_};  // Detector sleep.
   bool stopping_ GUARDED_BY(mu_) = false;
-  int active_attempts_ GUARDED_BY(mu_) = 0;
   Random backoff_rng_ GUARDED_BY(mu_);
   std::thread detector_;
   bool started_ = false;

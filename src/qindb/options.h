@@ -89,6 +89,36 @@ struct ScrubReport {
   }
 };
 
+/// Block-cache and version-index counters: one shard's, or the sum over
+/// shards (QinDb::CacheTotals) and engines (the server's stats text).
+struct EngineCacheTotals {
+  // Block cache (all zero when the cache is disabled).
+  uint64_t cache_hits = 0;
+  uint64_t cache_misses = 0;
+  uint64_t cache_inserts = 0;
+  uint64_t cache_admission_rejects = 0;
+  uint64_t cache_evicted_bytes = 0;
+  uint64_t cache_charged_bytes = 0;
+  // Version-index registry (all zero when lazy indexes are disabled).
+  uint64_t index_loads = 0;
+  uint64_t index_unloads = 0;
+  uint64_t resident_versions = 0;
+  uint64_t cold_versions = 0;
+
+  void Add(const EngineCacheTotals& o) {
+    cache_hits += o.cache_hits;
+    cache_misses += o.cache_misses;
+    cache_inserts += o.cache_inserts;
+    cache_admission_rejects += o.cache_admission_rejects;
+    cache_evicted_bytes += o.cache_evicted_bytes;
+    cache_charged_bytes += o.cache_charged_bytes;
+    index_loads += o.index_loads;
+    index_unloads += o.index_unloads;
+    resident_versions += o.resident_versions;
+    cold_versions += o.cold_versions;
+  }
+};
+
 /// Point-in-time, per-shard view of the counters a sharding-aware caller
 /// (tests, the stats endpoint) wants without aggregation.
 struct ShardStatsSnapshot {
@@ -99,34 +129,7 @@ struct ShardStatsSnapshot {
   uint64_t live_entries = 0;
   size_t segments = 0;
   bool degraded = false;
-
-  // Block cache (all zero when the cache is disabled).
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_inserts = 0;
-  uint64_t cache_admission_rejects = 0;
-  uint64_t cache_evicted_bytes = 0;
-  uint64_t cache_charged_bytes = 0;
-
-  // Version-index registry (all zero when lazy indexes are disabled).
-  uint64_t index_loads = 0;
-  uint64_t index_unloads = 0;
-  uint64_t resident_versions = 0;
-  uint64_t cold_versions = 0;
-};
-
-/// Facade-level sum of the per-shard snapshots (see QinDb::TotalStats).
-struct EngineCacheTotals {
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_inserts = 0;
-  uint64_t cache_admission_rejects = 0;
-  uint64_t cache_evicted_bytes = 0;
-  uint64_t cache_charged_bytes = 0;
-  uint64_t index_loads = 0;
-  uint64_t index_unloads = 0;
-  uint64_t resident_versions = 0;
-  uint64_t cold_versions = 0;
+  EngineCacheTotals cache;
 };
 
 }  // namespace directload::qindb

@@ -222,19 +222,7 @@ bool QinDb::degraded() const {
 
 EngineCacheTotals QinDb::CacheTotals() const {
   EngineCacheTotals out;
-  for (const auto& shard : shards_) {
-    const ShardStatsSnapshot s = shard->StatsSnapshot();
-    out.cache_hits += s.cache_hits;
-    out.cache_misses += s.cache_misses;
-    out.cache_inserts += s.cache_inserts;
-    out.cache_admission_rejects += s.cache_admission_rejects;
-    out.cache_evicted_bytes += s.cache_evicted_bytes;
-    out.cache_charged_bytes += s.cache_charged_bytes;
-    out.index_loads += s.index_loads;
-    out.index_unloads += s.index_unloads;
-    out.resident_versions += s.resident_versions;
-    out.cold_versions += s.cold_versions;
-  }
+  for (const auto& shard : shards_) out.Add(shard->StatsSnapshot().cache);
   return out;
 }
 

@@ -1089,17 +1089,17 @@ ShardStatsSnapshot Shard::StatsSnapshot() const {
   snap.degraded = degraded();
   if (cache_ != nullptr) {
     const BlockCache::Stats cs = cache_->stats();
-    snap.cache_hits = cs.hits;
-    snap.cache_misses = cs.misses;
-    snap.cache_inserts = cs.inserts;
-    snap.cache_admission_rejects = cs.admission_rejects;
-    snap.cache_evicted_bytes = cs.evicted_bytes;
-    snap.cache_charged_bytes = cs.charged_bytes;
+    snap.cache.cache_hits = cs.hits;
+    snap.cache.cache_misses = cs.misses;
+    snap.cache.cache_inserts = cs.inserts;
+    snap.cache.cache_admission_rejects = cs.admission_rejects;
+    snap.cache.cache_evicted_bytes = cs.evicted_bytes;
+    snap.cache.cache_charged_bytes = cs.charged_bytes;
   }
   const VersionIndexRegistry::Stats rs = registry_.stats();
-  snap.index_loads = rs.loads;
-  snap.index_unloads = rs.unloads;
-  snap.cold_versions = rs.cold_versions;
+  snap.cache.index_loads = rs.loads;
+  snap.cache.index_unloads = rs.unloads;
+  snap.cache.cold_versions = rs.cold_versions;
   if (registry_.enabled()) {
     // Distinct versions with at least one resident entry: one index walk,
     // acceptable for a stats endpoint.
@@ -1108,7 +1108,7 @@ ShardStatsSnapshot Shard::StatsSnapshot() const {
          it.Next()) {
       resident.insert(it.entry()->version);
     }
-    snap.resident_versions = resident.size();
+    snap.cache.resident_versions = resident.size();
   }
   return snap;
 }

@@ -1,6 +1,9 @@
 #include "rpc/client.h"
 
+#include <poll.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <thread>
 
@@ -82,10 +85,11 @@ Result<Frame> RpcClient::ReceiveLocked(int timeout_ms) {
       }
       return frame;
     }
-    const int left = RemainingMs(deadline);
-    if (left == 0) return Status::TimedOut("request deadline expired");
+    // A spent deadline still takes what the socket already holds, so a
+    // zero timeout means "whatever has arrived"; kTimedOut otherwise.
     char buf[16 * 1024];
-    Result<size_t> n = socket_.RecvSome(buf, sizeof(buf), left);
+    Result<size_t> n =
+        socket_.RecvSome(buf, sizeof(buf), RemainingMs(deadline));
     if (!n.ok()) return n.status();
     if (*n == 0) {
       CloseLocked();
@@ -106,6 +110,37 @@ Result<Frame> RpcClient::Receive() {
   MutexLock lock(&mu_);
   if (!socket_.valid()) return Status::Unavailable("not connected");
   return ReceiveLocked(options_.request_timeout_ms);
+}
+
+Result<Frame> RpcClient::ReceiveFirst(const std::vector<RpcClient*>& clients,
+                                      Clock::time_point deadline,
+                                      size_t* index) {
+  std::vector<pollfd> fds(clients.size());
+  while (true) {
+    for (size_t i = 0; i < clients.size(); ++i) {
+      RpcClient* client = clients[i];
+      MutexLock lock(&client->mu_);
+      Result<Frame> frame = client->socket_.valid()
+                                ? client->ReceiveLocked(/*timeout_ms=*/0)
+                                : Status::Unavailable("not connected");
+      if (!frame.ok() && frame.status().IsTimedOut()) {  // Nothing yet.
+        fds[i] = pollfd{client->socket_.fd(), POLLIN, 0};
+        continue;
+      }
+      *index = i;
+      return frame;
+    }
+    const Clock::time_point now = Clock::now();
+    *index = clients.size();
+    if (now >= deadline) return Status::TimedOut("no response in time");
+    // Round up so a sub-millisecond wait sleeps instead of spinning.
+    const auto wait =
+        std::chrono::ceil<std::chrono::milliseconds>(deadline - now);
+    if (::poll(fds.data(), fds.size(), static_cast<int>(wait.count())) < 0 &&
+        errno != EINTR) {
+      return Status::IOError("poll failed");
+    }
+  }
 }
 
 int RpcClient::BackoffDelayMs(int attempt) {

@@ -2,6 +2,7 @@
 #define DIRECTLOAD_RPC_CLIENT_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -109,6 +110,15 @@ class RpcClient {
   /// Blocks for the next response frame (any request id — pipelined
   /// responses may complete out of order; the caller matches ids).
   Result<Frame> Receive() EXCLUDES(mu_);
+
+  /// Waits until `deadline` for the first of `clients` to complete a
+  /// response frame or fail. Sets `*index` to that client and returns its
+  /// frame or its failure; when nothing arrived in time, returns kTimedOut
+  /// with `*index == clients.size()`. Each client's lock is taken on its
+  /// own, never two at once, and released across the wait.
+  static Result<Frame> ReceiveFirst(
+      const std::vector<RpcClient*>& clients,
+      std::chrono::steady_clock::time_point deadline, size_t* index);
 
  private:
   /// One request/response exchange with reconnect-and-resend.

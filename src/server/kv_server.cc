@@ -697,17 +697,7 @@ std::string KvServer::StatsText() {
   qindb::EngineCacheTotals cache;
   for (int n = 0; n < cluster_->num_nodes(); ++n) {
     if (cluster_->node(n)->db() == nullptr) continue;
-    const qindb::EngineCacheTotals t = cluster_->node(n)->db()->CacheTotals();
-    cache.cache_hits += t.cache_hits;
-    cache.cache_misses += t.cache_misses;
-    cache.cache_inserts += t.cache_inserts;
-    cache.cache_admission_rejects += t.cache_admission_rejects;
-    cache.cache_evicted_bytes += t.cache_evicted_bytes;
-    cache.cache_charged_bytes += t.cache_charged_bytes;
-    cache.index_loads += t.index_loads;
-    cache.index_unloads += t.index_unloads;
-    cache.resident_versions += t.resident_versions;
-    cache.cold_versions += t.cold_versions;
+    cache.Add(cluster_->node(n)->db()->CacheTotals());
   }
   std::snprintf(line, sizeof(line),
                 "cache: hits=%llu misses=%llu inserts=%llu "

@@ -4,7 +4,9 @@
 // the quorum path across a SIGKILLed replica, the full crash → restart →
 // RepairNode → VerifyNodeComplete healing loop (paged over a deliberately
 // tiny repair page), timer-fired hedged reads against a SIGSTOPped primary,
-// and the heartbeat failure detector's down/up transitions.
+// failover (not hedging) past a SIGKILLed one, NotFound answers that a down
+// replica cannot overturn, and the heartbeat failure detector's down/up
+// transitions.
 
 #include <gtest/gtest.h>
 
@@ -250,6 +252,55 @@ TEST_F(DmintTest, HedgedReadFiresWhenPrimaryStalls) {
   const MintCoordinator::Counters counters = coordinator_->counters();
   EXPECT_GE(counters.hedged_reads, 1u);
   EXPECT_GE(counters.hedge_wins, 1u);
+}
+
+TEST_F(DmintTest, FailoverWinIsNotAHedgeWin) {
+  CoordinatorOptions options;
+  options.hedge_default_delay_ms = 25;
+  options.hedge_min_samples = 1'000'000;  // Pin the default hedge delay.
+  // Keep node 0 the preferred replica after it dies: the read must meet
+  // the corpse first and fail over, not route around it.
+  options.suspect_after_misses = 1'000'000;
+  options.down_after_misses = 1'000'001;
+  StartFleet(3, options);
+
+  ASSERT_TRUE(coordinator_->Put("failover:k", 1, "failover-value").ok());
+
+  // A SIGKILLed primary fails fast (reset or refused), well inside the
+  // hedge delay: the next candidate is a failover, never a hedge.
+  nodes_[0].Kill();
+
+  Result<MintCoordinator::ReadResult> read = coordinator_->Get("failover:k", 1);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->value, "failover-value");
+  EXPECT_NE(read->served_by, 0);
+  EXPECT_FALSE(read->hedged);
+  const MintCoordinator::Counters counters = coordinator_->counters();
+  EXPECT_GE(counters.read_failovers, 1u);
+  EXPECT_EQ(counters.hedged_reads, 0u);
+  EXPECT_EQ(counters.hedge_wins, 0u);
+}
+
+TEST_F(DmintTest, NotFoundSurvivesADownReplica) {
+  StartFleet(3);
+  ASSERT_TRUE(coordinator_->Put("present:k", 1, "v").ok());
+
+  nodes_[0].Kill();
+  ASSERT_TRUE(WaitFor(5000, [&] {
+    return coordinator_->health(0) == NodeHealth::kDown;
+  })) << "detector never marked the killed node down";
+
+  // Both live replicas answer NotFound; the down node has nothing to add,
+  // so its transport failure must not turn the answer into Unavailable.
+  Result<MintCoordinator::ReadResult> read =
+      coordinator_->GetLatest("never-written:k");
+  ASSERT_FALSE(read.ok());
+  EXPECT_TRUE(read.status().IsNotFound()) << read.status().ToString();
+
+  // A written key still reads back from the surviving replicas.
+  read = coordinator_->GetLatest("present:k");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->value, "v");
 }
 
 TEST_F(DmintTest, DetectorTracksCrashAndRecovery) {
