@@ -5,10 +5,13 @@
 //
 // By default it hosts the whole stack in-process — a small mint::MintCluster
 // behind a KvServer on an ephemeral localhost port — so one command
-// exercises sockets, framing, admission control, the worker pool, and the
-// engines end to end:
+// exercises sockets, framing, the per-connection reader threads that run
+// every point request (batching pipelined PUTs), and the engines end to end:
 //
 //   build/bench/server_loadgen --threads 8 --ops-per-thread 2000
+//
+// `--rollover` also streams a bulk version into the server under the reads;
+// its slices land on the server's worker pool.
 //
 // Point it at an external server instead (e.g. `qindb_shell --serve 7000`):
 //

@@ -40,13 +40,14 @@ enum class LockRank : int {
   /// registry.
   ///
   /// The serving layer sits above the engine, so its ranks are smaller
-  /// than every engine rank: a worker may take an engine lock while the
-  /// server is mid-drain, never the reverse.
+  /// than every engine rank: a reader or worker may take an engine lock
+  /// while the server is mid-drain, never the reverse.
   kServerState = 2,
-  /// Lock: `KvServer::queue_mu_` — bounded request queue, in-flight count,
-  /// drain/stop flags.
+  /// Lock: `KvServer::queue_mu_` — bounded bulk-slice queue, in-flight
+  /// slice count, stop flag.
   ///
-  /// Admission control and drain accounting. Never held across an engine
+  /// Slice admission and drain accounting; point requests run on their
+  /// connection's reader and never take it. Never held across an engine
   /// call.
   kServerQueue = 4,
   /// Lock: `RpcClient::mu_` — the client-side socket, frame decoder and
@@ -68,9 +69,8 @@ enum class LockRank : int {
   ///
   /// Slice ingest releases the session lock across its engine call so
   /// slices land in parallel; commit and abort hold it across theirs
-  /// (legal — the rank sits above the engine ranks), which is what makes a
-  /// commit racing a connection-teardown abort resolve to exactly one
-  /// winner instead of a torn half-commit.
+  /// (legal — the rank sits above the engine ranks), so no slice starts
+  /// landing while the version commits or rolls back.
   kServerBulk = 7,
   /// Lock: `MintCluster::cluster_mu_` — the cluster's node/group
   /// membership tables: shared across every serving operation, exclusive

@@ -16,12 +16,14 @@ namespace directload::server {
 /// version on one connection). Slice frames may be executed by several
 /// workers concurrently and out of order; the session tracks which slice
 /// ids have landed so duplicates are acknowledged without re-ingesting and
-/// commit can name exactly what is missing.
+/// commit can name exactly what is missing. Commit and Abort run on the
+/// connection's reader thread (a kBulkCommit / kBulkAbort frame, or the
+/// teardown abort), so they never race each other.
 ///
 /// Locking (rank kServerBulk): slice ingest releases mu_ across its
 /// cluster call so slices land in parallel; Commit and Abort hold it
-/// across theirs, so a commit racing a teardown abort resolves to one
-/// winner — never a torn half-commit.
+/// across theirs, so no slice starts landing while the version commits or
+/// rolls back.
 class BulkIngestSession {
  public:
   BulkIngestSession(mint::MintCluster* cluster, uint64_t version)

@@ -1,8 +1,10 @@
 #include "server/kv_server.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 
 #include "bifrost/wire/slice_codec.h"
 #include "common/failpoint.h"
@@ -16,8 +18,8 @@ namespace {
 
 // Server-side failpoints. Both sit before the request is acknowledged in
 // any way, so firing them can never lose an acked write: a dropped accept
-// looks like a dial race, a failed enqueue is answered kBusy and the
-// client retries.
+// looks like a dial race, a failed admission (checked before each request
+// runs or queues) is answered kBusy and the client retries.
 DIRECTLOAD_FAILPOINT_DEFINE(fp_server_accept, "server_accept");
 DIRECTLOAD_FAILPOINT_DEFINE(fp_server_enqueue, "server_enqueue");
 
@@ -48,8 +50,9 @@ constexpr int kTeardownDrainMs = 1000;
 }  // namespace
 
 /// Per-connection state. The reader thread owns `decoder` and `limiter`
-/// exclusively; the socket is shared between the reader (recv) and the
-/// workers (send) — opposite directions of one fd, which the kernel allows
+/// exclusively; the socket is shared between the reader (recv, and the
+/// responses to the requests it runs) and the workers (slice responses) —
+/// send and recv are opposite directions of one fd, which the kernel allows
 /// concurrently — and `write_mu` serializes the senders so pipelined
 /// responses cannot interleave bytes.
 struct KvServer::Connection {
@@ -58,8 +61,7 @@ struct KvServer::Connection {
       : socket(std::move(s)),
         decoder(options.max_frame_bytes),
         limiter(options.conn_bytes_per_sec, options.conn_burst_bytes),
-        send_failures(send_failures),
-        frame_limit(options.max_frame_bytes) {}
+        send_failures(send_failures) {}
 
   /// Encodes and writes one frame. A send failure means the peer is gone
   /// mid-reply; the reader thread will notice the dead socket and tear the
@@ -111,14 +113,10 @@ struct KvServer::Connection {
   std::atomic<uint64_t>* send_failures;  // Server-owned counter.
   std::atomic<bool> done{false};  // Reader thread exited.
 
-  /// Decoder frame bound, re-applied by the reader before each decode pass.
-  /// Raised by the kBulkBegin handler *before* its ack goes out, so by the
-  /// time the client can legally send an oversized slice the reader already
-  /// observes the new bound.
-  std::atomic<size_t> frame_limit;
-  /// The connection's bulk-ingest session, if one is open. Workers copy the
-  /// pointer out under bulk_mu and call the session unlocked; reader
-  /// teardown swaps it out and aborts whatever was never committed.
+  /// The connection's bulk-ingest session, if one is open. The reader
+  /// (begin/commit/abort) and the workers (slices) copy the pointer out
+  /// under bulk_mu and call the session unlocked; reader teardown swaps it
+  /// out and aborts whatever was never committed.
   Mutex bulk_mu{LockRank::kServerBulk, "Connection::bulk_mu"};
   std::shared_ptr<BulkIngestSession> bulk GUARDED_BY(bulk_mu);
 };
@@ -164,10 +162,11 @@ void KvServer::Shutdown() {
     if (!running_) return;
     running_ = false;
   }
-  // Stop accepting and stop decoding new requests. Frames already queued
-  // (or executing) still complete and flush their acknowledgements —
-  // that is the drain guarantee: every acknowledged write reached the
-  // cluster.
+  // Stop accepting and stop decoding new requests. A reader finishes and
+  // answers the request it is running before it next checks the flag, and
+  // slices already queued (or landing) still complete and flush their
+  // acknowledgements — that is the drain guarantee: every acknowledged
+  // write reached the cluster.
   draining_.store(true);
   if (acceptor_.joinable()) acceptor_.join();
   {
@@ -175,6 +174,10 @@ void KvServer::Shutdown() {
     while (!queue_.empty() || executing_ > 0) {
       drain_cv_.WaitFor(std::chrono::milliseconds(kPollSliceMs));
     }
+    // Set in the same critical section that saw the queue drained: a slice
+    // a reader admitted just before the flip above either entered the queue
+    // before this point (and the wait served it) or meets stopping_ in
+    // Enqueue and is answered kBusy — never parked where no worker pops.
     stopping_ = true;
     queue_cv_.SignalAll();
   }
@@ -235,9 +238,11 @@ void KvServer::AcceptorLoop() {
 
 void KvServer::ReaderLoop(std::shared_ptr<Connection> conn) {
   const bool throttled = options_.conn_bytes_per_sec > 0;
+  const size_t max_batch = std::max<size_t>(1, options_.max_write_batch);
   SteadyClock::time_point idle_deadline =
       SteadyClock::now() + std::chrono::milliseconds(options_.idle_timeout_ms);
   char buf[32 * 1024];
+  std::vector<rpc::Frame> writes;  // Admitted PUT/DEL frames not yet run.
   bool alive = true;
   while (alive && !draining_.load()) {
     Result<size_t> n = conn->socket.RecvSome(buf, sizeof(buf), kPollSliceMs);
@@ -253,62 +258,85 @@ void KvServer::ReaderLoop(std::shared_ptr<Connection> conn) {
     }
     if (*n == 0) break;  // Clean EOF.
     if (throttled) conn->limiter.Throttle(static_cast<double>(*n));
-    // The bulk-begin handler may have negotiated the frame bound up since
-    // the last pass; the decoder applies the new bound from the next frame.
-    conn->decoder.set_max_body_bytes(
-        conn->frame_limit.load(std::memory_order_acquire));
     conn->decoder.Append(buf, *n);
 
-    while (alive) {
+    std::optional<rpc::Frame> stream_error;
+    while (true) {
       rpc::Frame frame;
       Result<bool> got = conn->decoder.Next(&frame);
       if (!got.ok()) {
         // Framing is lost: report the reason on a best-effort error frame
-        // (request id 0 — the broken stream no longer names one) and tear
-        // the connection down.
-        counters_.stream_errors.fetch_add(1);
-        rpc::Frame error;
-        error.op = rpc::Opcode::kPing;
-        error.response = true;
-        error.status = got.status().code();
-        error.value = got.status().ToString();
-        conn->CloseAfterProtocolError(error, draining_);
-        alive = false;
+        // (request id 0 — the broken stream no longer names one).
+        stream_error.emplace();
+        stream_error->op = rpc::Opcode::kPing;
+        stream_error->response = true;
+        stream_error->status = got.status().code();
+        stream_error->value = got.status().ToString();
         break;
       }
       if (!*got) break;  // Need more bytes.
       idle_deadline = SteadyClock::now() +
                       std::chrono::milliseconds(options_.idle_timeout_ms);
       if (frame.response) {
-        counters_.stream_errors.fetch_add(1);
-        conn->CloseAfterProtocolError(
-            rpc::MakeResponse(
-                frame, Status::Protocol("client sent a response frame")),
-            draining_);
-        alive = false;
+        stream_error = rpc::MakeResponse(
+            frame, Status::Protocol("client sent a response frame"));
         break;
       }
       if (draining_.load()) {
-        // Not yet queued, so not acknowledged — the client will retry
-        // against whatever replaces this server.
+        // Not run, so not acknowledged — the client will retry against
+        // whatever replaces this server.
         alive = false;
         break;
       }
+#if DIRECTLOAD_FAILPOINTS_COMPILED
+      if (fp_server_enqueue->armed()) {
+        if (Status s = fp_server_enqueue->MaybeFail(); !s.ok()) {
+          // Never run, never acked: the client retries. The writes admitted
+          // before it are answered first, keeping responses in order.
+          RunWrites(conn.get(), &writes);
+          counters_.requests_rejected_busy.fetch_add(1);
+          conn->Write(rpc::MakeResponse(
+              frame, Status::Busy("request admission failed")));
+          continue;
+        }
+      }
+#endif
+      if (frame.op == rpc::Opcode::kPut || frame.op == rpc::Opcode::kDel) {
+        writes.push_back(std::move(frame));
+        if (writes.size() >= max_batch) RunWrites(conn.get(), &writes);
+        continue;
+      }
+      // Everything admitted before this frame runs first: point requests
+      // execute strictly in arrival order.
+      RunWrites(conn.get(), &writes);
+      if (frame.op != rpc::Opcode::kBulkSlice) {
+        conn->Write(Execute(conn.get(), frame));
+        counters_.requests_served.fetch_add(1);
+        continue;
+      }
+      // Slices land on the worker pool, in parallel with each other.
       rpc::Frame stub;  // Scalar fields survive for the rejection path.
       stub.op = frame.op;
       stub.request_id = frame.request_id;
       stub.version = frame.version;
-      if (!Enqueue(Request{conn, std::move(frame)})) {
+      if (Status s = Enqueue(Request{conn, std::move(frame)}); !s.ok()) {
         counters_.requests_rejected_busy.fetch_add(1);
-        conn->Write(
-            rpc::MakeResponse(stub, Status::Busy("request queue is full")));
+        conn->Write(rpc::MakeResponse(stub, s));
       }
+    }
+    // The writes were admitted before any stop or error: run and answer
+    // them, ahead of a protocol-error frame.
+    RunWrites(conn.get(), &writes);
+    if (stream_error.has_value()) {
+      counters_.stream_errors.fetch_add(1);
+      conn->CloseAfterProtocolError(*stream_error, draining_);
+      alive = false;
     }
   }
   // Connection teardown: an open bulk session dies with its connection —
   // whatever was staged but never committed is rolled back, so a loader
-  // that crashed mid-stream leaves no trace. (Abort waits out a commit
-  // already executing on a worker and then no-ops if it won.)
+  // that crashed mid-stream leaves no trace. (Commits run on this thread,
+  // so none is mid-flight here; Abort no-ops after one that succeeded.)
   std::shared_ptr<BulkIngestSession> orphan;
   {
     MutexLock lock(&conn->bulk_mu);
@@ -318,97 +346,73 @@ void KvServer::ReaderLoop(std::shared_ptr<Connection> conn) {
   conn->done.store(true);
 }
 
-bool KvServer::Enqueue(Request request) {
-#if DIRECTLOAD_FAILPOINTS_COMPILED
-  if (fp_server_enqueue->armed() && !fp_server_enqueue->MaybeFail().ok()) {
-    return false;  // Reported as kBusy; the request was never acked.
-  }
-#endif
+Status KvServer::Enqueue(Request request) {
   MutexLock lock(&queue_mu_);
-  if (queue_.size() >= options_.max_queued_requests) return false;
+  if (stopping_) return Status::Busy("server is shutting down");
+  if (queue_.size() >= options_.max_queued_requests) {
+    return Status::Busy("slice queue is full");
+  }
   queue_.push_back(std::move(request));
   queue_cv_.Signal();
-  return true;
+  return Status::OK();
 }
-
-namespace {
-
-/// A single-op write request a worker may fold into a batched run.
-bool IsWriteOp(const rpc::Frame& frame) {
-  return frame.op == rpc::Opcode::kPut || frame.op == rpc::Opcode::kDel;
-}
-
-}  // namespace
 
 void KvServer::WorkerLoop() {
-  const size_t max_batch = std::max<size_t>(1, options_.max_write_batch);
-  std::vector<Request> run;
   while (true) {
-    run.clear();
+    Request request;
     {
       MutexLock lock(&queue_mu_);
       while (queue_.empty() && !stopping_) {
         queue_cv_.WaitFor(std::chrono::milliseconds(kPollSliceMs));
       }
       if (queue_.empty()) return;  // stopping_ && drained.
-      run.push_back(std::move(queue_.front()));
+      request = std::move(queue_.front());
       queue_.pop_front();
-      // Opportunistic write batching: when the head of the queue continues a
-      // run of single-op writes, drain them in the same pass and execute
-      // the run as one cluster batch. Only the contiguous front is taken,
-      // so requests are still served strictly in arrival order.
-      if (max_batch > 1 && IsWriteOp(run.front().frame)) {
-        while (run.size() < max_batch && !queue_.empty() &&
-               IsWriteOp(queue_.front().frame)) {
-          run.push_back(std::move(queue_.front()));
-          queue_.pop_front();
-        }
-      }
-      executing_ += static_cast<int>(run.size());
+      ++executing_;
     }
-    if (run.size() == 1) {
-      rpc::Frame response = Execute(run.front());
-      run.front().conn->Write(response);
-      counters_.requests_served.fetch_add(1);
-    } else {
-      ExecuteWriteRun(run);
-    }
+    assert(request.frame.op == rpc::Opcode::kBulkSlice);
+    request.conn->Write(Execute(request.conn.get(), request.frame));
+    counters_.requests_served.fetch_add(1);
     {
       MutexLock lock(&queue_mu_);
-      executing_ -= static_cast<int>(run.size());
+      --executing_;
       if (queue_.empty() && executing_ == 0) drain_cv_.SignalAll();
     }
-    run.clear();  // Drops the connection references.
   }
 }
 
-void KvServer::ExecuteWriteRun(std::vector<Request>& run) {
-  std::vector<mint::MintCluster::BatchOp> ops;
-  ops.reserve(run.size());
-  for (Request& request : run) {
-    rpc::Frame& frame = request.frame;
-    mint::MintCluster::BatchOp op;
-    op.is_del = frame.op == rpc::Opcode::kDel;
-    op.version = frame.version;
-    op.dedup = frame.dedup;
-    // MakeResponse only reads the scalar fields, so the payload can move.
-    op.key = std::move(frame.key);
-    op.value = std::move(frame.value);
-    ops.push_back(std::move(op));
+void KvServer::RunWrites(Connection* conn, std::vector<rpc::Frame>* writes) {
+  if (writes->empty()) return;
+  const size_t count = writes->size();
+  if (count == 1) {
+    conn->Write(Execute(conn, writes->front()));
+  } else {
+    std::vector<mint::MintCluster::BatchOp> ops;
+    ops.reserve(count);
+    for (rpc::Frame& frame : *writes) {
+      mint::MintCluster::BatchOp op;
+      op.is_del = frame.op == rpc::Opcode::kDel;
+      op.version = frame.version;
+      op.dedup = frame.dedup;
+      // MakeResponse only reads the scalar fields, so the payload can move.
+      op.key = std::move(frame.key);
+      op.value = std::move(frame.value);
+      ops.push_back(std::move(op));
+    }
+    std::vector<Status> statuses;
+    DL_DISCARD_STATUS("first failing per-op status; each response frame "
+                      "below carries its own op's status",
+                      cluster_->WriteMany(ops, &statuses));
+    for (size_t i = 0; i < count; ++i) {
+      conn->Write(rpc::MakeResponse((*writes)[i], statuses[i]));
+    }
+    counters_.writes_batched.fetch_add(count);
   }
-  std::vector<Status> statuses;
-  DL_DISCARD_STATUS("first failing per-op status; each response frame below "
-                    "carries its own op's status",
-                    cluster_->WriteMany(ops, &statuses));
-  for (size_t i = 0; i < run.size(); ++i) {
-    run[i].conn->Write(rpc::MakeResponse(run[i].frame, statuses[i]));
-  }
-  counters_.requests_served.fetch_add(run.size());
-  counters_.writes_batched.fetch_add(run.size());
+  counters_.requests_served.fetch_add(count);
+  writes->clear();
 }
 
-rpc::Frame KvServer::Execute(const Request& full_request) {
-  const rpc::Frame& request = full_request.frame;
+rpc::Frame KvServer::Execute(Connection* conn, const rpc::Frame& request) {
   switch (request.op) {
     case rpc::Opcode::kGet: {
       Result<mint::MintCluster::ReadResult> read =
@@ -470,34 +474,34 @@ rpc::Frame KvServer::Execute(const Request& full_request) {
       auto session =
           std::make_shared<BulkIngestSession>(cluster_, request.version);
       {
-        MutexLock lock(&full_request.conn->bulk_mu);
-        if (full_request.conn->bulk != nullptr) {
+        MutexLock lock(&conn->bulk_mu);
+        if (conn->bulk != nullptr) {
           return rpc::MakeResponse(
               request,
               Status::Busy("a bulk session is already open on this "
                            "connection"));
         }
-        full_request.conn->bulk = session;
+        conn->bulk = session;
       }
       if (Status s = cluster_->BulkBegin(request.version); !s.ok()) {
-        MutexLock lock(&full_request.conn->bulk_mu);
-        full_request.conn->bulk.reset();
+        MutexLock lock(&conn->bulk_mu);
+        conn->bulk.reset();
         return rpc::MakeResponse(request, s);
       }
       // Negotiate the frame bound up before the ack is on the wire: once
-      // the client sees OK it may send slices up to the bulk bound, and by
-      // then the reader observes the raised limit.
-      full_request.conn->frame_limit.store(
-          std::max(options_.max_frame_bytes, options_.max_bulk_frame_bytes),
-          std::memory_order_release);
+      // the client sees OK it may send slices up to the bulk bound. This
+      // runs on the reader, which owns the decoder, and the bound applies
+      // from the next frame it decodes.
+      conn->decoder.set_max_body_bytes(
+          std::max(options_.max_frame_bytes, options_.max_bulk_frame_bytes));
       counters_.bulk_sessions_opened.fetch_add(1);
       return rpc::MakeResponse(request, Status::OK());
     }
     case rpc::Opcode::kBulkSlice: {
       std::shared_ptr<BulkIngestSession> session;
       {
-        MutexLock lock(&full_request.conn->bulk_mu);
-        session = full_request.conn->bulk;
+        MutexLock lock(&conn->bulk_mu);
+        session = conn->bulk;
       }
       if (session == nullptr) {
         return rpc::MakeResponse(
@@ -515,8 +519,8 @@ rpc::Frame KvServer::Execute(const Request& full_request) {
     case rpc::Opcode::kBulkCommit: {
       std::shared_ptr<BulkIngestSession> session;
       {
-        MutexLock lock(&full_request.conn->bulk_mu);
-        session = full_request.conn->bulk;
+        MutexLock lock(&conn->bulk_mu);
+        session = conn->bulk;
       }
       if (session == nullptr) {
         return rpc::MakeResponse(
@@ -539,8 +543,8 @@ rpc::Frame KvServer::Execute(const Request& full_request) {
         return response;
       }
       if (s.ok()) {
-        MutexLock lock(&full_request.conn->bulk_mu);
-        full_request.conn->bulk.reset();
+        MutexLock lock(&conn->bulk_mu);
+        conn->bulk.reset();
       }
       return rpc::MakeResponse(request, s);
     }
@@ -649,8 +653,8 @@ rpc::Frame KvServer::Execute(const Request& full_request) {
     case rpc::Opcode::kBulkAbort: {
       std::shared_ptr<BulkIngestSession> session;
       {
-        MutexLock lock(&full_request.conn->bulk_mu);
-        session = std::move(full_request.conn->bulk);
+        MutexLock lock(&conn->bulk_mu);
+        session = std::move(conn->bulk);
       }
       if (session != nullptr) session->Abort();
       return rpc::MakeResponse(request, Status::OK());  // Idempotent.

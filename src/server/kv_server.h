@@ -25,19 +25,22 @@ struct KvServerOptions {
   std::string host = "127.0.0.1";
   /// 0 = kernel-assigned ephemeral port; read it back via port().
   uint16_t port = 0;
-  /// Worker threads executing requests against the cluster. <= 0 sizes the
-  /// pool to the hardware concurrency (minimum 2).
+  /// Worker threads landing bulk-ingest slices (kBulkSlice) against the
+  /// cluster; every other request runs on its connection's reader thread.
+  /// <= 0 sizes the pool to the hardware concurrency (minimum 2), so the
+  /// slices of one streamed version land in parallel.
   int num_workers = 0;
-  /// Admission bound: requests decoded but not yet picked up by a worker.
-  /// A full queue rejects the request with kBusy instead of queueing
-  /// unboundedly — the client sees back-pressure, the server keeps a
-  /// bounded memory footprint.
+  /// Admission bound: slice frames decoded but not yet picked up by a
+  /// worker. A full queue rejects the slice with kBusy instead of queueing
+  /// unboundedly — the loader re-sends it, the server keeps a bounded
+  /// memory footprint. Point requests never queue, so this bounds nothing
+  /// else.
   size_t max_queued_requests = 1024;
-  /// Workers opportunistically drain up to this many consecutive single-op
-  /// write requests (PUT/DEL) from the queue front and execute them as one
-  /// cluster write batch — the serving layer's write batching: one
-  /// engine Write per involved node instead of one per request, each
-  /// request still answered individually. <= 1 disables the drain.
+  /// A reader runs up to this many consecutive single-op write requests
+  /// (PUT/DEL) decoded in one pass as one cluster write batch — the
+  /// serving layer's write batching: one engine Write per involved node
+  /// instead of one per request, each request still answered individually.
+  /// <= 1 disables the batching.
   size_t max_write_batch = 32;
   /// Connections with no complete request for this long are closed.
   int idle_timeout_ms = 60'000;
@@ -63,23 +66,29 @@ struct KvServerOptions {
 /// Threading model (see docs/serving.md):
 ///   * one acceptor thread polls the listening socket and spawns
 ///   * one reader thread per connection, which decodes pipelined request
-///     frames and enqueues them onto
-///   * a bounded request queue drained by a worker pool sized to the
-///     hardware, whose threads execute against the cluster and write the
-///     response onto the originating connection (a per-connection write
-///     lock keeps pipelined responses from interleaving bytes).
+///     frames and runs every point request itself — GET, PUT, DEL,
+///     WRITEBATCH, STATS, PING, HEARTBEAT, REPAIR_SCAN and the bulk
+///     begin/commit/abort control frames — in arrival order, answering each
+///     before it runs the next. Consecutive PUT/DEL frames decoded in one
+///     pass run as one cluster write batch. Only bulk slices go to
+///   * a bounded slice queue drained by a worker pool sized to the
+///     hardware, so the slices of one streamed version land in parallel.
+///     A worker writes its slice's response onto the originating connection
+///     (a per-connection write lock keeps it from interleaving bytes with
+///     the reader's responses).
 ///
-/// Responses may complete out of order; the request id ties them back.
-/// Admission control: a full queue answers kBusy immediately. Shutdown()
-/// drains gracefully — stop accepting, stop reading, finish every queued
-/// and executing request, flush its acknowledgement, then close. An
-/// acknowledged write is therefore always applied to the cluster, which
-/// the smoke test checks across a server restart.
+/// Point responses come back in request order; slice responses may
+/// overtake each other, and the request id ties them back. Admission
+/// control: a full slice queue answers kBusy immediately. Shutdown() drains
+/// gracefully — stop accepting, stop reading, finish every running request
+/// and queued slice, flush its acknowledgement, then close. An acknowledged
+/// write is therefore always applied to the cluster, which the smoke test
+/// checks across a server restart.
 ///
-/// Locks (all ranked above the engine ranks — a worker may take engine
-/// locks while holding nothing of the server's):
+/// Locks (all ranked above the engine ranks — a reader or worker may take
+/// engine locks while holding nothing of the server's):
 ///   kServerState      mu_        lifecycle + connection registry
-///   kServerQueue      queue_mu_  request queue, drain accounting
+///   kServerQueue      queue_mu_  slice queue, drain accounting
 ///   kServerConnWrite  write_mu   per-connection response serialization
 class KvServer {
  public:
@@ -136,18 +145,20 @@ class KvServer {
   void WorkerLoop();
 
   /// Executes one request against the cluster and returns its response.
-  /// Takes the whole Request because bulk-ingest opcodes read and mutate
-  /// the originating connection's session state.
-  rpc::Frame Execute(const Request& request);
+  /// Takes the originating connection because the bulk-ingest opcodes read
+  /// and mutate its session state.
+  rpc::Frame Execute(Connection* conn, const rpc::Frame& request);
 
-  /// Executes a drained run of single-op write requests as one cluster
-  /// write batch and answers each request with its own status.
-  void ExecuteWriteRun(std::vector<Request>& run);
+  /// Runs the reader's pending single-op writes — as one cluster write
+  /// batch when there are several — answers each with its own status, and
+  /// clears `writes`.
+  void RunWrites(Connection* conn, std::vector<rpc::Frame>* writes);
 
   std::string StatsText();
 
-  /// False when the queue is full (caller answers kBusy).
-  bool Enqueue(Request request) EXCLUDES(queue_mu_);
+  /// Hands a slice frame to the worker pool; kBusy when the queue is full
+  /// or the pool has stopped.
+  Status Enqueue(Request request) EXCLUDES(queue_mu_);
 
   mint::MintCluster* const cluster_;
   const KvServerOptions options_;
@@ -172,9 +183,10 @@ class KvServer {
   Mutex queue_mu_{LockRank::kServerQueue, "KvServer::queue_mu_"};
   CondVar queue_cv_{&queue_mu_};  // Signaled on push and on stop.
   CondVar drain_cv_{&queue_mu_};  // Signaled when the queue runs dry.
-  std::deque<Request> queue_ GUARDED_BY(queue_mu_);
+  std::deque<Request> queue_ GUARDED_BY(queue_mu_);  // kBulkSlice only.
   int executing_ GUARDED_BY(queue_mu_) = 0;
-  bool stopping_ GUARDED_BY(queue_mu_) = false;  // Workers exit.
+  /// Workers exit; Enqueue refuses.
+  bool stopping_ GUARDED_BY(queue_mu_) = false;
 };
 
 }  // namespace directload::server
