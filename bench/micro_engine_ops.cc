@@ -292,7 +292,9 @@ BENCHMARK(BM_QinDbShardedPut)
     ->Arg(4)
     ->Threads(1)
     ->Threads(8)
-    ->Iterations(4000)
+    // 100k per thread: at 4000 an 8-writer row lasted ~10 ms, too short
+    // for the committers to contend, and the arms ranked at random.
+    ->Iterations(100000)
     ->UseRealTime();
 
 // One writer submitting multi-op WriteBatches: the caller-side batching

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/coding.h"
 #include "common/failpoint.h"
 #include "common/logging.h"
 
@@ -535,14 +536,25 @@ Status AofManager::CollectSegment(uint32_t segment_id,
     if (!cur.Valid()) break;
     const RecordAddress addr = cur.address();
     const RecordView& rec = cur.record();
-    if (classify(addr, rec)) {
+    if (const int verdict = classify(addr, rec); verdict != 0) {
       // Crash point: mid-rewrite — some records already hold relocated
       // copies, the victim still exists, and recovery must reconcile the
       // duplicates via kFlagRelocated precedence.
       DIRECTLOAD_FAILPOINT(fp_aof_gc_rewrite_record);
-      Result<RecordAddress> new_addr = AppendRecordLocked(
-          rec.key, rec.header.version,
-          static_cast<uint8_t>(rec.header.flags | kFlagRelocated), rec.value);
+      // A commit marker moves to the tail, past records written after its
+      // commit; the copy remembers where the commit happened (the first
+      // address), so recovery can replay the version's pending records
+      // there rather than here.
+      char first[8];
+      Slice value = rec.value;
+      if (rec.is_ingest_commit() && value.empty()) {
+        EncodeFixed64(first, addr.Pack());
+        value = Slice(first, sizeof(first));
+      }
+      uint8_t flags = (rec.header.flags & ~kFlagDeleted) | kFlagRelocated;
+      if (verdict == kKeepDeleted) flags |= kFlagDeleted;
+      Result<RecordAddress> new_addr =
+          AppendRecordLocked(rec.key, rec.header.version, flags, value);
       if (!new_addr.ok()) return new_addr.status();
       if (rec.is_tombstone()) {
         // Tombstones never hold live data; keep the relocated copy's

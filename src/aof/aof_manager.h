@@ -152,10 +152,13 @@ class AofManager {
   /// occupancy first.
   std::vector<uint32_t> GcVictims() const EXCLUDES(mu_);
 
-  /// Decides a record's fate during collection: true keeps it (valid, or an
-  /// invalid record still referenced by a later deduplicated version).
+  /// Decides a record's fate during collection: 0 drops it, kKeep keeps it
+  /// (valid), kKeepDeleted keeps a deleted pair's record still referenced
+  /// by a later deduplicated version — its copy carries kFlagDeleted.
   using Classifier =
-      std::function<bool(const RecordAddress&, const RecordView&)>;
+      std::function<int(const RecordAddress&, const RecordView&)>;
+  static constexpr int kKeep = 1;
+  static constexpr int kKeepDeleted = 2;
   /// Invoked for each kept record after it is re-appended.
   using RelocateFn = std::function<void(const RecordAddress& old_addr,
                                         const RecordAddress& new_addr,

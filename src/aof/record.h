@@ -44,14 +44,23 @@ enum RecordFlags : uint8_t {
   /// Staged by a bulk-ingest session (QinDb::IngestRun) and not yet
   /// committed. Recovery indexes such a record only if a matching
   /// kFlagIngestCommit marker for its version exists; otherwise the record
-  /// is dead on arrival — an aborted or crashed load leaves no trace.
+  /// is dead on arrival — an aborted or crashed load leaves no trace. A
+  /// pending tombstone carries its target pair's version in the header and
+  /// the session's version as its 8-byte value.
   kFlagIngestPending = 1u << 3,
   /// Commit marker for a bulk-ingest version (zero-length key and value;
   /// `version` names the committed ingest version). Written once per shard
   /// at IngestCommit, after every pending record of the session is durable.
   /// GC never collects markers: a relocated pending record may land after
-  /// its marker in segment order, and the marker is what vouches for it.
+  /// its marker in segment order, and the marker is what vouches for it. A
+  /// relocated marker's 8-byte value is the packed address it was first
+  /// written at — where the commit happened.
   kFlagIngestCommit = 1u << 4,
+  /// Set on a relocated copy of a pair that was deleted when GC moved it (a
+  /// referent kept for a later deduplicated version). With it a relocated
+  /// copy states the pair exactly as GC found it, so recovery never has to
+  /// guess whether an earlier tombstone still applies.
+  kFlagDeleted = 1u << 5,
 };
 
 /// Fixed-size record header. A fixed layout (vs varints) lets the engine
@@ -86,6 +95,7 @@ struct RecordView {
   bool is_dedup() const { return (header.flags & kFlagDedup) != 0; }
   bool is_tombstone() const { return (header.flags & kFlagTombstone) != 0; }
   bool is_relocated() const { return (header.flags & kFlagRelocated) != 0; }
+  bool is_deleted() const { return (header.flags & kFlagDeleted) != 0; }
   bool is_ingest_pending() const {
     return (header.flags & kFlagIngestPending) != 0;
   }

@@ -65,6 +65,7 @@ MemEntry* MemIndex::Insert(const Slice& key, uint64_t version,
   entry->dedup.store(dedup, std::memory_order_relaxed);
   entry->deleted.store(false, std::memory_order_relaxed);
   entry->purged.store(false, std::memory_order_relaxed);
+  entry->superseded.store(false, std::memory_order_relaxed);
   // The skip-list insert publishes the fully built entry with a release
   // store, so lock-free readers always observe initialized fields.
   list_->Insert(entry);
@@ -148,6 +149,8 @@ void MemIndex::CompactInto(MemIndex* fresh) const {
                       e->dedup.load(std::memory_order_relaxed));
     copy->deleted.store(e->deleted.load(std::memory_order_relaxed),
                         std::memory_order_relaxed);
+    copy->superseded.store(e->superseded.load(std::memory_order_relaxed),
+                           std::memory_order_relaxed);
   }
 }
 

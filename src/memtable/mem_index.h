@@ -37,6 +37,10 @@ struct MemEntry {
   std::atomic<bool> dedup;    // 'r' flag: value removed, resolve by traceback.
   std::atomic<bool> deleted;  // 'd' flag: logically deleted, awaiting GC.
   std::atomic<bool> purged;   // Physically dropped from the index (post-GC).
+  // A re-PUT replaced an earlier record of this pair, and that stale copy
+  // may still sit in an uncollected segment. Such a pair is never purged, so
+  // its delete tombstone outlives the copy (see Shard's GC drop rule).
+  std::atomic<bool> superseded;
 
   Slice user_key() const { return Slice(key_data, key_size); }
 };

@@ -119,71 +119,35 @@ std::vector<int> MintCluster::ReplicasOfLocked(const Slice& key) const {
 
 Status MintCluster::Put(const Slice& key, uint64_t version, const Slice& value,
                         bool dedup) {
-  ReaderLock cluster_guard(&cluster_mu_);
-  Status first_error;
-  int applied = 0;
-  for (int id : ReplicasOfLocked(key)) {
-    StorageNode* node = nodes_[id].get();
-    ReaderLock guard(node->lifecycle_mu());
-    if (!node->up()) continue;  // Will be healed by recovery + re-replication.
-    Status s = node->db()->Put(key, version, value, dedup);
-    if (!s.ok() && first_error.ok()) first_error = s;
-    if (s.ok()) ++applied;
-  }
-  if (applied == 0) {
-    if (!first_error.ok()) return first_error;
-    return Status::Unavailable("group " + std::to_string(GroupOfLocked(key)) +
-                               " has no live replica for the key");
-  }
-  return Status::OK();
+  std::vector<Status> statuses;
+  return WriteMany({rpc::BatchOp{/*is_del=*/false, dedup, version,
+                                 key.ToString(), value.ToString()}},
+                   &statuses);
 }
 
 Status MintCluster::Del(const Slice& key, uint64_t version) {
-  ReaderLock cluster_guard(&cluster_mu_);
-  const int group = GroupOfLocked(key);
-  bool any = false;
-  bool any_live = false;
-  Status first_error;
-  for (int id : GroupNodesLocked(group)) {
-    StorageNode* node = nodes_[id].get();
-    ReaderLock guard(node->lifecycle_mu());
-    if (!node->up()) continue;
-    any_live = true;
-    Status s = node->db()->Del(key, version);
-    if (s.ok()) {
-      any = true;
-    } else if (!s.IsNotFound() && first_error.ok()) {
-      first_error = s;  // A replica refused the delete (e.g. degraded).
-    }
-  }
-  if (any) return Status::OK();
-  if (!any_live) {
-    // Distinguish "the pair is gone" from "nobody could answer": a caller
-    // that treats NotFound as success must not do so while the whole group
-    // is down.
-    return Status::Unavailable("group " + std::to_string(group) +
-                               " is entirely down; delete not applied");
-  }
-  if (!first_error.ok()) return first_error;
-  return Status::NotFound("no replica held the pair");
+  std::vector<Status> statuses;
+  return WriteMany({rpc::BatchOp{/*is_del=*/true, /*dedup=*/false, version,
+                                 key.ToString(), std::string()}},
+                   &statuses);
 }
 
-Status MintCluster::WriteMany(const std::vector<BatchOp>& ops,
+Status MintCluster::WriteMany(const std::vector<rpc::BatchOp>& ops,
                               std::vector<Status>* statuses) {
   ReaderLock cluster_guard(&cluster_mu_);
   statuses->assign(ops.size(), Status::OK());
   if (ops.empty()) return Status::OK();
 
   // Bucket ops by target node, preserving op order inside each bucket.
-  // Puts go to the key's rendezvous replicas, Dels to the whole group
-  // (matching Put/Del above).
+  // Puts go to the key's rendezvous replicas, Dels to the whole group: a
+  // delete must reach every node that may hold the pair.
   struct NodePlan {
     qindb::WriteBatch batch;
     std::vector<size_t> op_index;  // Batch position -> ops index.
   };
   std::map<int, NodePlan> plans;
   for (size_t i = 0; i < ops.size(); ++i) {
-    const BatchOp& op = ops[i];
+    const rpc::BatchOp& op = ops[i];
     const std::vector<int> targets = op.is_del
                                          ? GroupNodesLocked(GroupOfLocked(op.key))
                                          : ReplicasOfLocked(op.key);
@@ -228,13 +192,16 @@ Status MintCluster::WriteMany(const std::vector<BatchOp>& ops,
     }
   }
 
-  // Per-op aggregation, mirroring Put/Del exactly.
+  // Per-op aggregation over the op's replicas.
   for (size_t i = 0; i < ops.size(); ++i) {
     const Agg& a = agg[i];
     if (a.applied > 0) continue;
     const int group = GroupOfLocked(ops[i].key);
     if (ops[i].is_del) {
       if (a.live_targets == 0) {
+        // Distinguish "the pair is gone" from "nobody could answer": a
+        // caller that treats NotFound as success must not do so while the
+        // whole group is down.
         (*statuses)[i] =
             Status::Unavailable("group " + std::to_string(group) +
                                 " is entirely down; delete not applied");
@@ -289,7 +256,7 @@ Status MintCluster::BulkIngest(uint64_t version, const qindb::IngestOp* ops,
   ReaderLock cluster_guard(&cluster_mu_);
   // Bucket per node, preserving run order inside each bucket: puts go to
   // the key's rendezvous replicas, tombstones to the whole group (matching
-  // Put/Del above).
+  // WriteMany).
   std::map<int, std::vector<qindb::IngestOp>> routed;
   for (size_t i = 0; i < count; ++i) {
     const qindb::IngestOp& op = ops[i];

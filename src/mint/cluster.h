@@ -14,6 +14,7 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "qindb/qindb.h"
+#include "rpc/protocol.h"
 #include "ssd/env.h"
 
 namespace directload::mint {
@@ -109,27 +110,22 @@ class MintCluster {
   /// Replica node ids (within the key's group) for new writes.
   std::vector<int> ReplicasOf(const Slice& key) const;
 
+  /// One-op WriteMany calls: OK once any replica applied the op;
+  /// kUnavailable when no replica of the key's group is up; a Del that no
+  /// live replica held is kNotFound.
   Status Put(const Slice& key, uint64_t version, const Slice& value,
              bool dedup = false);
   Status Del(const Slice& key, uint64_t version);
 
-  /// One op of a cluster-level write batch (a Put or a Del).
-  struct BatchOp {
-    bool is_del = false;
-    std::string key;
-    uint64_t version = 0;
-    std::string value;  // Put only.
-    bool dedup = false;
-  };
-
-  /// Executes `ops` in order with one engine Write per involved node: ops
-  /// are bucketed by replica target into per-node qindb::WriteBatch objects
-  /// and each node commits its share in a single batched write (one AOF
-  /// append per node instead of one per op). `statuses` receives one status
-  /// per op with the same replica-aggregation semantics as Put/Del — ops to
+  /// The cluster's write path. Executes `ops` in order with one engine
+  /// Write per involved node: puts go to the key's rendezvous replicas,
+  /// dels to the key's whole group, bucketed into per-node
+  /// qindb::WriteBatch objects so each node commits its share in a single
+  /// batched write (one AOF append per node instead of one per op). Ops to
   /// the same key always target the same node set, so per-key ordering is
-  /// preserved. Returns the first non-OK per-op status.
-  Status WriteMany(const std::vector<BatchOp>& ops,
+  /// preserved. `statuses` receives one status per op, aggregated over its
+  /// replicas as described at Put/Del. Returns the first non-OK one.
+  Status WriteMany(const std::vector<rpc::BatchOp>& ops,
                    std::vector<Status>* statuses);
   /// Flags `version` deleted on every node (the oldest-version pruning).
   Status DropVersion(uint64_t version);
@@ -148,7 +144,7 @@ class MintCluster {
   Status BulkBegin(uint64_t version);
 
   /// Lands one run of pre-decoded pairs: puts go to each key's rendezvous
-  /// replicas, tombstones to the key's whole group (mirroring Put/Del).
+  /// replicas, tombstones to the key's whole group (as WriteMany routes).
   /// `ops` slices alias the caller's buffer for the duration of the call.
   /// A non-OK return means the run must be re-sent whole; replicas that
   /// already staged it tolerate the duplicate (the later copy supersedes at

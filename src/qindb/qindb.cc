@@ -228,7 +228,6 @@ EngineCacheTotals QinDb::CacheTotals() const {
 
 Status QinDb::Put(const Slice& key, uint64_t version, const Slice& value,
                   bool dedup) {
-  if (key.empty()) return Status::InvalidArgument("empty key");
   // Single ops are one-op batches through the owning shard's write path.
   WriteBatch batch;
   batch.Put(key, version, value, dedup);
@@ -377,12 +376,20 @@ Status QinDb::IngestBegin(uint64_t version) {
 
 Status QinDb::IngestRun(uint64_t version, const IngestOp* ops, size_t count) {
   if (count == 0) return Status::OK();
+  // Check the whole run before any shard stages a byte: a run fails whole,
+  // so an invalid op must not leave its siblings staged on other shards.
+  // (Every shard has the same record limits.)
+  for (size_t i = 0; i < count; ++i) {
+    if (Status s = shards_[0]->CheckIngestOp(ops[i], version); !s.ok()) {
+      return s;
+    }
+  }
   if (shards_.size() == 1) return shards_[0]->IngestRun(version, ops, count);
   // Runs are slice-sized (thousands of pairs), so the routing pass is
   // cheap next to the per-shard encode+append.
   std::vector<std::vector<IngestOp>> routed(shards_.size());
   for (size_t i = 0; i < count; ++i) {
-    routed[ops[i].key.empty() ? 0 : ShardOf(ops[i].key)].push_back(ops[i]);
+    routed[ShardOf(ops[i].key)].push_back(ops[i]);
   }
   for (uint32_t s = 0; s < shards_.size(); ++s) {
     if (routed[s].empty()) continue;

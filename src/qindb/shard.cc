@@ -44,6 +44,7 @@ constexpr uint64_t kCheckpointMagic = 0x51494e4443484b50ull;  // "QINDCHKP"
 // Per-entry flag bits in the checkpoint serialization.
 constexpr uint8_t kCkptDedup = 1u << 0;
 constexpr uint8_t kCkptDeleted = 1u << 1;
+constexpr uint8_t kCkptSuperseded = 1u << 2;
 
 std::string ShardLockName(const char* base, uint32_t shard_id) {
   char buf[64];
@@ -200,16 +201,26 @@ Result<std::unique_ptr<Shard>> Shard::Open(ssd::SsdEnv* env,
   if (!mgr.ok()) return mgr.status();
   shard->aof_ = std::move(mgr).value();
 
-  if (checkpoint_loaded) {
-    Status s = shard->ApplyCheckpointEntries();
-    if (!s.ok()) return s;
-    s = shard->RecoverFromScan(next_segment);
-    if (!s.ok()) return s;
-    shard->checkpoint_valid_ = true;
-  } else if (shard->aof_->segment_count() > 0) {
-    Status s = shard->RecoverFromScan(0);
-    if (!s.ok()) return s;
+  // A bulk version's pending records replay where its commit happened. A
+  // commit marker GC relocated past later writes names that point, and the
+  // scan then reruns once over a fresh index with the point known.
+  std::map<uint64_t, uint64_t> commit_points;  // First address -> version.
+  for (size_t known = 0;; known = commit_points.size()) {
+    if (checkpoint_loaded) {
+      Status s = shard->ApplyCheckpointEntries();
+      if (!s.ok()) return s;
+      s = shard->RecoverFromScan(next_segment, &commit_points);
+      if (!s.ok()) return s;
+      shard->checkpoint_valid_ = true;
+    } else if (shard->aof_->segment_count() > 0) {
+      Status s = shard->RecoverFromScan(0, &commit_points);
+      if (!s.ok()) return s;
+    }
+    if (commit_points.size() == known) break;
+    MutexLock pin(&shard->pin_mu_);
+    shard->mem_ = std::make_shared<MemIndex>();
   }
+  shard->pending_checkpoint_.clear();
   // Recovery materializes everything (the registry starts empty); shed
   // cold versions right away if the recovered index already exceeds the
   // lazy-index budget.
@@ -260,6 +271,10 @@ Result<ScrubReport> Shard::Scrub() {
   for (MemIndex::Iterator it = index->NewIterator(); it.Valid(); it.Next()) {
     MemEntry* entry = it.entry();
     ++report.entries_checked;
+    if (entry->deleted &&
+        !IsReferentIn(*index, entry->user_key(), entry->version)) {
+      continue;  // Garbage awaiting GC (or already collected): no reader.
+    }
     aof::RecordView view;
     Status s = aof_->ReadRecord(aof::RecordAddress::Unpack(entry->address),
                                 EntryExtent(entry), &view);
@@ -347,14 +362,23 @@ void Shard::Scanner::FindVisibleEntry() {
 Result<std::string> Shard::Scanner::value() const {
   if (!valid_) return Status::InvalidArgument("scanner not positioned");
   FlightGuard guard(shard_->reads_in_flight_);
-  MemEntry* source = current_;
-  if (current_->dedup) {
-    source = index_->TracebackValue(current_->user_key(), current_->version);
-    if (source == nullptr) {
-      return Status::Corruption("deduplicated pair with no value-bearing older version");
+  return shard_->ReadValue(*index_, current_, /*count_traceback=*/false);
+}
+
+Result<std::string> Shard::ReadValue(const MemIndex& index,
+                                     const MemEntry* entry,
+                                     bool count_traceback) {
+  if (entry->dedup) {
+    // The value field was removed by Bifrost: traceback to the newest
+    // older version that still carries one.
+    if (count_traceback) ++stats_->traceback_gets;
+    entry = index.TracebackValue(entry->user_key(), entry->version);
+    if (entry == nullptr) {
+      return Status::Corruption(
+          "deduplicated pair with no value-bearing older version");
     }
   }
-  return shard_->ReadEntryValue(source);
+  return ReadEntryValue(entry);
 }
 
 Result<std::string> Shard::ReadEntryValue(const MemEntry* entry) {
@@ -432,18 +456,8 @@ Result<std::string> Shard::Get(const Slice& key, uint64_t version) {
       return Status::NotFound("no such key/version");
     }
     if (lazy) registry_.Touch(version);
-    MemEntry* source = entry;
-    if (entry->dedup) {
-      // The value field was removed by Bifrost: traceback to the newest
-      // older version that still carries one (Figure 2, bottom right).
-      ++stats_->traceback_gets;
-      source = index->TracebackValue(key, entry->version);
-      if (source == nullptr) {
-        return Status::Corruption(
-            "deduplicated pair with no value-bearing older version");
-      }
-    }
-    Result<std::string> value = ReadEntryValue(source);
+    Result<std::string> value =
+        ReadValue(*index, entry, /*count_traceback=*/true);
     if (value.ok() || !lazy || attempt > 0) return value;
   }
 }
@@ -466,16 +480,8 @@ Result<std::string> Shard::GetLatest(const Slice& key) {
     for (MemEntry* entry : index->EntriesForKey(key)) {
       if (entry->deleted) continue;
       if (lazy) registry_.Touch(entry->version);
-      MemEntry* source = entry;
-      if (entry->dedup) {
-        ++stats_->traceback_gets;
-        source = index->TracebackValue(key, entry->version);
-        if (source == nullptr) {
-          return Status::Corruption(
-              "deduplicated pair with no value-bearing older version");
-        }
-      }
-      Result<std::string> value = ReadEntryValue(source);
+      Result<std::string> value =
+          ReadValue(*index, entry, /*count_traceback=*/true);
       if (value.ok() || !lazy || attempt > 0) return value;
       retry = true;  // Raced an unload+GC pair: re-resolve from scratch.
       break;
@@ -488,6 +494,15 @@ Result<std::string> Shard::GetLatest(const Slice& key) {
 // Write path
 // ---------------------------------------------------------------------------
 
+Status Shard::CheckRecord(const Slice& key, size_t value_size) const {
+  if (key.empty()) return Status::InvalidArgument("empty key");
+  if (key.size() > UINT16_MAX) return Status::InvalidArgument("key too long");
+  if (aof::RecordExtent(key.size(), value_size) > options_.aof.segment_bytes) {
+    return Status::InvalidArgument("record exceeds segment capacity");
+  }
+  return Status::OK();
+}
+
 Status Shard::Write(WriteBatch& batch) {
   batch.statuses_.clear();
   batch.dropped_.assign(batch.ops_.size(), 0);
@@ -497,22 +512,20 @@ Status Shard::Write(WriteBatch& batch) {
     return w;
   }
 
-  // Pre-encode the batch's Put records — checksum included — on the calling
-  // thread, before taking any lock. Encoding is the dominant per-op cost of
-  // a write (the CRC over the value), so concurrent writers run it in
-  // parallel and the critical section shrinks to plan-append-apply. Ops that
-  // fail the appender's own limits are left unencoded; the plan phase
-  // rejects them per-op with a precise status.
+  // Check and pre-encode the batch's Put records — checksum included — on
+  // the calling thread, before taking any lock. Encoding is the dominant
+  // per-op cost of a write (the CRC over the value), so concurrent writers
+  // run it in parallel and the critical section shrinks to
+  // plan-append-apply. A Put that breaks the record limits gets its status
+  // here and fails alone; the plan phase skips it.
+  batch.statuses_.assign(batch.ops_.size(), Status::OK());
   std::string encoded;
   std::vector<std::pair<size_t, size_t>> spans(batch.ops_.size(), {0, 0});
   for (size_t oi = 0; oi < batch.ops_.size(); ++oi) {
     const WriteOp& op = batch.ops_[oi];
     if (op.kind != WriteOpKind::kPut) continue;
-    if (op.key.empty() || op.key.size() > UINT16_MAX ||
-        aof::RecordExtent(op.key.size(), op.value.size()) >
-            options_.aof.segment_bytes) {
-      continue;
-    }
+    batch.statuses_[oi] = CheckRecord(op.key, op.value.size());
+    if (!batch.statuses_[oi].ok()) continue;
     const size_t at = encoded.size();
     aof::EncodeRecord(op.key, op.version,
                       op.dedup ? aof::kFlagDedup : aof::kFlagNone, op.value,
@@ -564,8 +577,10 @@ Status Shard::CommitLocked(
     }
   }
 
-  MemIndex* idx = CurrentIndex();
-  const uint32_t segment_before = aof_->active_segment();
+  CommitApply c;
+  c.idx = CurrentIndex();
+  c.segment_before = aof_->active_segment();
+  MemIndex* const idx = c.idx;
 
   // --- Plan: walk every op in order, deciding per-op validity and
   // collecting the records the batch will append. Del and DropVersion must
@@ -586,13 +601,11 @@ Status Shard::CommitLocked(
     size_t hit_begin = 0;
     size_t hit_end = 0;
   };
-  struct OverlayState {
-    bool live = false;
-  };
 
   std::vector<aof::AofManager::AppendOp> slots;
   std::vector<Slice> drop_hits;  // Backing: memtable arena or batch ops.
-  std::map<std::pair<std::string_view, uint64_t>, OverlayState> overlay;
+  // Whether each (key, version) the batch already decided is live.
+  std::map<std::pair<std::string_view, uint64_t>, bool> overlay;
   std::vector<PlannedOp> plans(batch.ops_.size());
 
   // The overlay only ever feeds Del/DropVersion decisions. Pure-Put batches
@@ -602,7 +615,6 @@ Status Shard::CommitLocked(
     needs_overlay |= op.kind != WriteOpKind::kPut;
   }
   slots.reserve(batch.ops_.size());
-  batch.statuses_.assign(batch.ops_.size(), Status::OK());
 
   for (size_t oi = 0; oi < batch.ops_.size(); ++oi) {
     const WriteOp& op = batch.ops_[oi];
@@ -610,34 +622,14 @@ Status Shard::CommitLocked(
     const std::string_view key_view(op.key);
     switch (op.kind) {
       case WriteOpKind::kPut: {
-        if (op.key.empty()) {
-          batch.statuses_[oi] = Status::InvalidArgument("empty key");
-          break;
-        }
-        // Pre-screen with the appender's own limits so one oversized op
-        // fails alone instead of failing the batch's vectored append.
-        if (op.key.size() > UINT16_MAX) {
-          batch.statuses_[oi] = Status::InvalidArgument("key too long");
-          break;
-        }
-        if (aof::RecordExtent(op.key.size(), op.value.size()) >
-            options_.aof.segment_bytes) {
-          batch.statuses_[oi] =
-              Status::InvalidArgument("record exceeds segment capacity");
-          break;
-        }
+        if (!batch.statuses_[oi].ok()) break;  // Failed the record check.
         plan.action = Action::kPut;
         plan.slot = slots.size();
-        aof::AofManager::AppendOp slot{
-            Slice(op.key), op.version,
-            op.dedup ? aof::kFlagDedup : aof::kFlagNone, Slice(op.value),
-            Slice()};
-        if (spans[oi].second != 0) {
-          slot.preencoded =
-              Slice(encoded.data() + spans[oi].first, spans[oi].second);
-        }
-        slots.push_back(slot);
-        if (needs_overlay) overlay[{key_view, op.version}] = OverlayState{true};
+        slots.push_back(
+            {Slice(op.key), op.version,
+             op.dedup ? aof::kFlagDedup : aof::kFlagNone, Slice(op.value),
+             Slice(encoded.data() + spans[oi].first, spans[oi].second)});
+        if (needs_overlay) overlay[{key_view, op.version}] = true;
         break;
       }
       case WriteOpKind::kDel: {
@@ -646,7 +638,7 @@ Status Shard::CommitLocked(
         if (auto it = overlay.find({key_view, op.version});
             it != overlay.end()) {
           exists = true;
-          live = it->second.live;
+          live = it->second;
         } else if (MemEntry* e = idx->FindExact(op.key, op.version);
                    e != nullptr) {
           exists = true;
@@ -663,7 +655,7 @@ Status Shard::CommitLocked(
           slots.push_back({Slice(op.key), op.version, aof::kFlagTombstone,
                            Slice(), Slice()});
         }
-        overlay[{key_view, op.version}] = OverlayState{false};
+        overlay[{key_view, op.version}] = false;
         break;
       }
       case WriteOpKind::kDropVersion: {
@@ -683,8 +675,8 @@ Status Shard::CommitLocked(
           }
           drop_hits.push_back(entry_key);
         }
-        for (const auto& [ov_key, state] : overlay) {
-          if (ov_key.second == op.version && state.live) {
+        for (const auto& [ov_key, live] : overlay) {
+          if (ov_key.second == op.version && live) {
             drop_hits.push_back(Slice(ov_key.first));
           }
         }
@@ -698,7 +690,7 @@ Status Shard::CommitLocked(
         }
         for (size_t h = plan.hit_begin; h < plan.hit_end; ++h) {
           overlay[{std::string_view(drop_hits[h].data(), drop_hits[h].size()),
-                   op.version}] = OverlayState{false};
+                   op.version}] = false;
         }
         break;
       }
@@ -726,90 +718,86 @@ Status Shard::CommitLocked(
   // lock-free reader can observe a prefix of the batch but never a key's
   // version chain with an op applied out of order (a dedup entry always
   // lands after the base value it tracebacks to). Occupancy updates are
-  // deferred into one MarkDeadMany.
-  uint64_t ingested = 0;
-  bool any_applied_delete = false;
-  std::vector<std::pair<aof::RecordAddress, uint64_t>> dead;
-  const DeadSink sink{nullptr, &dead, cache_.get()};
+  // deferred into the tail's one MarkDeadMany; logged tombstones are dead
+  // on arrival.
+  const DeadSink sink{nullptr, &c.dead, cache_.get()};
   for (size_t oi = 0; oi < batch.ops_.size(); ++oi) {
     const WriteOp& op = batch.ops_[oi];
     const PlannedOp& plan = plans[oi];
     switch (plan.action) {
       case Action::kSkip:
         break;
-      case Action::kPut: {
-        MemEntry* old = idx->FindExact(op.key, op.version);
-        if (old != nullptr) {
-          // Re-PUT of the same versioned key supersedes the previous record
-          // (possibly one from earlier in this very batch).
-          sink.MarkDead(aof::RecordAddress::Unpack(old->address),
-                        EntryExtent(old));
-        }
-        idx->Insert(op.key, op.version, addresses[plan.slot].Pack(),
-                    static_cast<uint32_t>(op.value.size()), op.dedup);
-        ++stats_->puts;
-        ++shard_puts_;
-        if (op.dedup) ++stats_->dedup_puts;
-        ingested += op.key.size() + op.value.size();
+      case Action::kPut:
+        ApplyPut(c, op.key, op.version, addresses[plan.slot].Pack(),
+                 static_cast<uint32_t>(op.value.size()), op.dedup);
         break;
-      }
-      case Action::kDel: {
-        MemEntry* entry = idx->FindExact(op.key, op.version);
-        if (entry != nullptr &&
-            !entry->deleted.exchange(true, std::memory_order_acq_rel)) {
-          ++stats_->dels;
-          ++shard_dels_;
-          any_applied_delete = true;
-          ApplyDeleteAccounting(*idx, sink, entry);
-        }
+      case Action::kDel:
+        ApplyDelete(c, idx->FindExact(op.key, op.version));
         if (plan.slot != SIZE_MAX) {
-          // Tombstones are dead on arrival for occupancy purposes.
           sink.MarkDead(addresses[plan.slot],
                         aof::RecordExtent(op.key.size(), 0));
         }
         break;
-      }
-      case Action::kDrop: {
-        uint64_t flagged = 0;
+      case Action::kDrop:
         for (size_t h = plan.hit_begin; h < plan.hit_end; ++h) {
-          MemEntry* entry = idx->FindExact(drop_hits[h], op.version);
-          if (entry != nullptr &&
-              !entry->deleted.exchange(true, std::memory_order_acq_rel)) {
-            ++stats_->dels;
-            ++shard_dels_;
-            ++flagged;
-            any_applied_delete = true;
-            ApplyDeleteAccounting(*idx, sink, entry);
+          if (ApplyDelete(c, idx->FindExact(drop_hits[h], op.version))) {
+            ++batch.dropped_[oi];
           }
           if (plan.slot != SIZE_MAX) {
             sink.MarkDead(addresses[plan.slot + (h - plan.hit_begin)],
                           aof::RecordExtent(drop_hits[h].size(), 0));
           }
         }
-        batch.dropped_[oi] = flagged;
         break;
-      }
     }
   }
-  stats_->user_bytes_ingested += ingested;
-  shard_bytes_ingested_.fetch_add(ingested, std::memory_order_relaxed);
-  aof_->MarkDeadMany(dead);
 
   // Overall: the first failing per-op status, like the return of the
-  // equivalent single-op call sequence.
-  Status overall;
+  // equivalent single-op call sequence — unless maintenance failed, which
+  // reports exactly how a lone Put reports a failed interval checkpoint.
+  Status maintenance = FinishCommitLocked(c);
+  if (!maintenance.ok()) return maintenance;
   for (const Status& s : batch.statuses_) {
-    if (!s.ok()) {
-      overall = s;
-      break;
-    }
+    if (!s.ok()) return s;
   }
+  return Status::OK();
+}
 
-  // Maintenance runs once per batch: the interval checkpoint on ingested
-  // bytes, the lazy GC when a segment sealed or a delete freed space. A
-  // maintenance failure leaves the batch's data committed but surfaces as
-  // its overall status — exactly how a lone Put reports a failed interval
-  // checkpoint.
+void Shard::ApplyPut(CommitApply& c, const Slice& key, uint64_t version,
+                     uint64_t address, uint32_t value_size, bool dedup) {
+  MemEntry* old = c.idx->FindExact(key, version);
+  if (old != nullptr) {
+    // A re-PUT of the same versioned key supersedes the previous record
+    // (possibly one from earlier in this very commit).
+    DeadSink{nullptr, &c.dead, cache_.get()}.MarkDead(
+        aof::RecordAddress::Unpack(old->address), EntryExtent(old));
+  }
+  MemEntry* entry = c.idx->Insert(key, version, address, value_size, dedup);
+  if (old != nullptr) entry->superseded.store(true, std::memory_order_relaxed);
+  ++stats_->puts;
+  ++shard_puts_;
+  if (dedup) ++stats_->dedup_puts;
+  c.ingested += key.size() + value_size;
+}
+
+bool Shard::ApplyDelete(CommitApply& c, MemEntry* entry) {
+  if (entry == nullptr ||
+      entry->deleted.exchange(true, std::memory_order_acq_rel)) {
+    return false;
+  }
+  ++stats_->dels;
+  ++shard_dels_;
+  c.any_delete = true;
+  ApplyDeleteAccounting(*c.idx, DeadSink{nullptr, &c.dead, cache_.get()},
+                        entry);
+  return true;
+}
+
+Status Shard::FinishCommitLocked(CommitApply& c) {
+  stats_->user_bytes_ingested += c.ingested;
+  shard_bytes_ingested_.fetch_add(c.ingested, std::memory_order_relaxed);
+  aof_->MarkDeadMany(c.dead);
+
   Status maintenance;
   if (options_.checkpoint_interval_bytes > 0 &&
       shard_bytes_ingested_.load(std::memory_order_relaxed) -
@@ -822,12 +810,11 @@ Status Shard::CommitLocked(
     }
   }
   if (maintenance.ok() && options_.auto_gc &&
-      (any_applied_delete || aof_->active_segment() != segment_before)) {
+      (c.any_delete || aof_->active_segment() != c.segment_before)) {
     maintenance = MaybeGcLocked();  // Applies NoteWriteError internally.
   }
-  if (!maintenance.ok()) overall = maintenance;
   MaybeUnloadIndexLocked();
-  return overall;
+  return maintenance;
 }
 
 // ---------------------------------------------------------------------------
@@ -843,51 +830,50 @@ Status Shard::IngestBegin(uint64_t version) {
   return Status::OK();
 }
 
+Status Shard::CheckIngestOp(const IngestOp& op, uint64_t version) const {
+  if (!op.tombstone && op.version != version) {
+    return Status::InvalidArgument(
+        "ingest put version differs from the session version");
+  }
+  // A tombstone stores the 8-byte session tag; a dedup put stores nothing.
+  return CheckRecord(op.key, op.tombstone ? 8
+                             : op.dedup   ? 0
+                                          : op.value.size());
+}
+
 Status Shard::IngestRun(uint64_t version, const IngestOp* ops, size_t count) {
   if (Status w = CheckWritable(); !w.ok()) return w;
   if (count == 0) return Status::OK();
 
-  // Validate and pre-encode the whole run OUTSIDE the shard lock — like
-  // Write, the CRC over the values is the dominant cost and must not
-  // serialize behind the committer. Unlike a WriteBatch, a run
-  // fails whole on an invalid op: a slice is re-sent, never patched per-op.
-  std::string encoded;
-  std::vector<std::pair<size_t, size_t>> spans(count);
-  {
-    // One allocation for the whole run: growth reallocs would re-copy the
-    // already-encoded prefix, and runs are slice-sized.
-    size_t total = 0;
-    for (size_t i = 0; i < count; ++i) {
-      const size_t value_size = (ops[i].dedup || ops[i].tombstone)
-                                    ? 0
-                                    : ops[i].value.size();
-      total += aof::RecordExtent(ops[i].key.size(), value_size);
-    }
-    encoded.reserve(total);
-  }
+  // Pre-encode the whole run OUTSIDE the shard lock — like Write, the CRC
+  // over the values is the dominant cost and must not serialize behind the
+  // committer.
+  char tag[8];
+  EncodeFixed64(tag, version);
+  const Slice session_tag(tag, sizeof(tag));
+  std::vector<aof::AofManager::AppendOp> slots(count);
+  size_t total = 0;
   for (size_t i = 0; i < count; ++i) {
     const IngestOp& op = ops[i];
-    if (op.key.empty()) {
-      return Status::InvalidArgument("empty key in ingest run");
-    }
-    if (op.key.size() > UINT16_MAX) {
-      return Status::InvalidArgument("key too long in ingest run");
-    }
-    if (!op.tombstone && op.version != version) {
-      return Status::InvalidArgument(
-          "ingest put version differs from the session version");
-    }
-    const Slice stored_value = (op.dedup || op.tombstone) ? Slice() : op.value;
-    if (aof::RecordExtent(op.key.size(), stored_value.size()) >
-        options_.aof.segment_bytes) {
-      return Status::InvalidArgument("record exceeds segment capacity");
-    }
     uint8_t flags = aof::kFlagIngestPending;
     if (op.dedup) flags |= aof::kFlagDedup;
     if (op.tombstone) flags |= aof::kFlagTombstone;
+    const Slice value = op.tombstone ? session_tag
+                        : op.dedup   ? Slice()
+                                     : op.value;
+    slots[i] = {op.key, op.version, flags, value, Slice()};
+    total += aof::RecordExtent(op.key.size(), value.size());
+  }
+  // One allocation for the whole run, sized exactly: nothing reallocates,
+  // so each slot's pre-encoded slice stays valid, and growth would re-copy
+  // the already-encoded prefix of a slice-sized run.
+  std::string encoded;
+  encoded.reserve(total);
+  for (aof::AofManager::AppendOp& slot : slots) {
     const size_t at = encoded.size();
-    aof::EncodeRecord(op.key, op.version, flags, stored_value, &encoded);
-    spans[i] = {at, encoded.size() - at};
+    aof::EncodeRecord(slot.key, slot.version, slot.flags, slot.value,
+                      &encoded);
+    slot.preencoded = Slice(encoded.data() + at, encoded.size() - at);
   }
 
   MutexLock lock(&write_mutex_);
@@ -898,17 +884,6 @@ Status Shard::IngestRun(uint64_t version, const IngestOp* ops, size_t count) {
   }
   DIRECTLOAD_FAILPOINT(fp_qindb_ingest_append);
 
-  std::vector<aof::AofManager::AppendOp> slots;
-  slots.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    const IngestOp& op = ops[i];
-    uint8_t flags = aof::kFlagIngestPending;
-    if (op.dedup) flags |= aof::kFlagDedup;
-    if (op.tombstone) flags |= aof::kFlagTombstone;
-    slots.push_back({op.key, op.version, flags,
-                     (op.dedup || op.tombstone) ? Slice() : op.value,
-                     Slice(encoded.data() + spans[i].first, spans[i].second)});
-  }
   std::vector<aof::RecordAddress> addresses;
   if (Status s = aof_->AppendMany(slots.data(), slots.size(), &addresses);
       !s.ok()) {
@@ -926,18 +901,17 @@ Status Shard::IngestRun(uint64_t version, const IngestOp* ops, size_t count) {
         std::max(sess.staged.size() + count, sess.staged.capacity() * 2));
   }
   for (size_t i = 0; i < count; ++i) {
-    const IngestOp& op = ops[i];
-    const Slice stored_value = (op.dedup || op.tombstone) ? Slice() : op.value;
+    const aof::AofManager::AppendOp& slot = slots[i];
     IngestSession::Staged staged;
-    staged.key.assign(op.key.data(), op.key.size());
-    staged.version = op.version;
+    staged.key.assign(slot.key.data(), slot.key.size());
+    staged.version = slot.version;
     staged.address = addresses[i].Pack();
-    staged.value_size = static_cast<uint32_t>(stored_value.size());
-    staged.dedup = op.dedup;
-    staged.tombstone = op.tombstone;
+    staged.value_size = static_cast<uint32_t>(slot.value.size());
+    staged.dedup = ops[i].dedup;
+    staged.tombstone = ops[i].tombstone;
     sess.staged.push_back(std::move(staged));
     sess.appended.emplace_back(
-        addresses[i], aof::RecordExtent(op.key.size(), stored_value.size()));
+        addresses[i], aof::RecordExtent(slot.key.size(), slot.value.size()));
   }
   return Status::OK();
 }
@@ -961,7 +935,9 @@ Status Shard::IngestCommit(uint64_t version) {
     if (Status s = EnsureAllResidentLocked(); !s.ok()) return s;
   }
 
-  const uint32_t segment_before = aof_->active_segment();
+  CommitApply c;
+  c.idx = CurrentIndex();
+  c.segment_before = aof_->active_segment();
   // The marker IS the commit point: once durable, recovery indexes every
   // pending record of this version; before it, the version leaves no
   // trace. The marker is never marked dead and GC keeps markers forever
@@ -974,64 +950,24 @@ Status Shard::IngestCommit(uint64_t version) {
   // Apply the staged pairs to the memtable in run order: puts supersede
   // any existing (key, version) entry exactly like a re-PUT; tombstones
   // flag pairs (typically of older versions — the d-flag riding the load)
-  // deleted. Occupancy updates batch into one MarkDeadMany.
-  MemIndex* idx = CurrentIndex();
-  IngestSession& sess = it->second;
-  uint64_t ingested = 0;
-  bool any_applied_delete = false;
-  std::vector<std::pair<aof::RecordAddress, uint64_t>> dead;
-  const DeadSink sink{nullptr, &dead, cache_.get()};
-  for (const IngestSession::Staged& op : sess.staged) {
+  // deleted, and a missing target is a no-op, not an error. The pending
+  // tombstone record is dead on arrival, like every logged delete.
+  const DeadSink sink{nullptr, &c.dead, cache_.get()};
+  for (const IngestSession::Staged& op : it->second.staged) {
     const Slice key(op.key);
     if (op.tombstone) {
-      // The pending tombstone record is dead on arrival, like every
-      // logged delete; a missing target is a no-op, not an error.
       sink.MarkDead(aof::RecordAddress::Unpack(op.address),
-                    aof::RecordExtent(op.key.size(), 0));
-      MemEntry* entry = idx->FindExact(key, op.version);
-      if (entry != nullptr &&
-          !entry->deleted.exchange(true, std::memory_order_acq_rel)) {
-        ++stats_->dels;
-        ++shard_dels_;
-        any_applied_delete = true;
-        ApplyDeleteAccounting(*idx, sink, entry);
-      }
-      continue;
+                    aof::RecordExtent(key.size(), op.value_size));
+      ApplyDelete(c, c.idx->FindExact(key, op.version));
+    } else {
+      ApplyPut(c, key, op.version, op.address, op.value_size, op.dedup);
     }
-    MemEntry* old = idx->FindExact(key, op.version);
-    if (old != nullptr) {
-      sink.MarkDead(aof::RecordAddress::Unpack(old->address),
-                    EntryExtent(old));
-    }
-    idx->Insert(key, op.version, op.address, op.value_size, op.dedup);
-    ++stats_->puts;
-    ++shard_puts_;
-    if (op.dedup) ++stats_->dedup_puts;
-    ingested += op.key.size() + op.value_size;
   }
-  stats_->user_bytes_ingested += ingested;
-  shard_bytes_ingested_.fetch_add(ingested, std::memory_order_relaxed);
-  aof_->MarkDeadMany(dead);
+  // Maintenance is legal again once the session is gone (unless a
+  // concurrent load still holds one).
   ingest_sessions_.erase(it);
   ingest_committed_.insert(version);
-
-  // Maintenance at the write paths' boundaries — legal again now that the
-  // session is gone (unless a concurrent load still holds one).
-  if (options_.checkpoint_interval_bytes > 0 &&
-      shard_bytes_ingested_.load(std::memory_order_relaxed) -
-              bytes_at_last_checkpoint_ >=
-          options_.checkpoint_interval_bytes) {
-    if (Status s = CheckpointLocked(); !s.ok()) return NoteWriteError(s);
-    bytes_at_last_checkpoint_ =
-        shard_bytes_ingested_.load(std::memory_order_relaxed);
-  }
-  Status tail;
-  if (options_.auto_gc &&
-      (any_applied_delete || aof_->active_segment() != segment_before)) {
-    tail = MaybeGcLocked();
-  }
-  MaybeUnloadIndexLocked();
-  return tail;
+  return FinishCommitLocked(c);
 }
 
 Status Shard::IngestAbort(uint64_t version) {
@@ -1201,7 +1137,7 @@ Status Shard::CollectVictimsLocked() {
         id,
         /*classify=*/
         [live, registry](const aof::RecordAddress& addr,
-                         const aof::RecordView& rec) {
+                         const aof::RecordView& rec) -> int {
           if (rec.is_ingest_commit()) {
             // Commit markers are kept forever: a relocated pending record
             // can land after its marker in segment order, and the marker
@@ -1232,10 +1168,12 @@ Status Shard::CollectVictimsLocked() {
               aof::RecordAddress::Unpack(entry->address) != addr) {
             return false;  // Superseded copy or already purged.
           }
-          if (!entry->deleted) return true;  // Live data.
+          if (!entry->deleted) return aof::AofManager::kKeep;  // Live data.
           // Deleted but possibly still referenced by a newer deduplicated
           // version (Figure 2, top right).
-          return IsReferentIn(*live, rec.key, rec.header.version);
+          return IsReferentIn(*live, rec.key, rec.header.version)
+                     ? aof::AofManager::kKeepDeleted
+                     : 0;
         },
         /*relocate=*/
         [live, &retired, cache, registry](const aof::RecordAddress& old_addr,
@@ -1280,8 +1218,12 @@ Status Shard::CollectVictimsLocked() {
           MemEntry* entry = live->FindExact(rec.key, rec.header.version);
           if (entry != nullptr &&
               aof::RecordAddress::Unpack(entry->address) == old_addr &&
-              entry->deleted) {
+              entry->deleted && !entry->superseded) {
             // Deleted with no referent: remove the item from the skip list.
+            // A superseded pair stays indexed (deleted) instead: a stale
+            // copy may survive in an older, uncollected segment, and its
+            // tombstone — kept while the entry is indexed — is all that
+            // stops a recovery scan from resurrecting it.
             live->Purge(entry);
           }
         });
@@ -1321,7 +1263,8 @@ Status Shard::InvalidateCheckpoint() {
 // Recovery and checkpointing
 // ---------------------------------------------------------------------------
 
-Status Shard::RecoverFromScan(uint32_t min_segment) {
+Status Shard::RecoverFromScan(uint32_t min_segment,
+                              std::map<uint64_t, uint64_t>* commit_points) {
   DIRECTLOAD_FAILPOINT(fp_qindb_recovery_scan);
   MemIndex* idx = CurrentIndex();
   // Scan holds the AOF manager's lock shared, so the callback must not
@@ -1354,30 +1297,41 @@ Status Shard::RecoverFromScan(uint32_t min_segment) {
         ApplyDeleteAccounting(*idx, sink, entry);
       }
       sink.MarkDead(aof::RecordAddress::Unpack(packed),
-                    aof::RecordExtent(key.size(), 0));
+                    aof::RecordExtent(key.size(), value_len));
       return;
     }
     const bool dedup = (flags & aof::kFlagDedup) != 0;
+    const bool relocated_deleted = (flags & aof::kFlagDeleted) != 0;
     MemEntry* old = idx->FindExact(key, version);
     if (old != nullptr && (flags & aof::kFlagRelocated) != 0) {
-      // A relocated copy is the same logical record the index already
-      // tracks, not a newer write: adopt the new address but preserve
-      // the deleted state an earlier tombstone established. A deleted
+      // A relocated copy states the pair as GC found it — its record, and
+      // whether it was deleted — which outranks everything before it in
+      // the log (an earlier tombstone or placeholder included). A deleted
       // entry's old record is already accounted dead.
       if (!old->deleted) {
         sink.MarkDead(aof::RecordAddress::Unpack(old->address),
                       EntryExtent(old));
       }
+      // The record the index held stays on disk beside the copy (it may be
+      // an earlier write the copy's original superseded): a stale copy.
+      old->superseded.store(true, std::memory_order_relaxed);
       old->address.store(packed, std::memory_order_relaxed);
       old->value_size.store(value_len, std::memory_order_relaxed);
       old->dedup.store(dedup, std::memory_order_relaxed);
+      old->deleted.store(relocated_deleted, std::memory_order_relaxed);
       return;
     }
     if (old != nullptr) {
       sink.MarkDead(aof::RecordAddress::Unpack(old->address),
                     EntryExtent(old));
     }
-    idx->Insert(key, version, packed, value_len, dedup);
+    MemEntry* entry = idx->Insert(key, version, packed, value_len, dedup);
+    if (old != nullptr) {
+      entry->superseded.store(true, std::memory_order_relaxed);
+    }
+    if (relocated_deleted) {
+      entry->deleted.store(true, std::memory_order_relaxed);
+    }
   };
 
   // Bulk-ingest replay state. A pending record may only be indexed once
@@ -1388,40 +1342,68 @@ Status Shard::RecoverFromScan(uint32_t min_segment) {
   // load crashed or aborted before kBulkCommit — are dead on arrival.
   struct PendingIngest {
     std::string key;
+    uint64_t version = 0;  // A tombstone's target; else the session's.
     uint32_t value_len = 0;
     uint8_t flags = 0;
     uint64_t address = 0;
   };
   std::map<uint64_t, std::vector<PendingIngest>> pending_ingest;
   std::set<uint64_t> committed_versions;
+  auto replay = [&apply_record, &pending_ingest,
+                 &committed_versions](uint64_t version) {
+    committed_versions.insert(version);
+    if (auto it = pending_ingest.find(version); it != pending_ingest.end()) {
+      for (const PendingIngest& p : it->second) {
+        apply_record(Slice(p.key), p.version, p.value_len, p.flags,
+                     p.address);
+      }
+      pending_ingest.erase(it);
+    }
+  };
+  // Commit points named by relocated markers, consumed in address order:
+  // the version replays just before the first record past its commit.
+  std::map<uint64_t, uint64_t> due = *commit_points;
+  const size_t known_points = commit_points->size();
 
   Status s = aof_->Scan(
-      [&apply_record, &pending_ingest, &committed_versions, &sink](
-          const aof::RecordAddress& addr, const aof::RecordView& rec) {
+      [&apply_record, &pending_ingest, &committed_versions, &replay, &due,
+       commit_points](const aof::RecordAddress& addr,
+                      const aof::RecordView& rec) {
         const uint64_t packed = addr.Pack();
+        while (!due.empty() && due.begin()->first < packed) {
+          replay(due.begin()->second);
+          due.erase(due.begin());
+        }
         if (rec.is_ingest_commit()) {
-          committed_versions.insert(rec.header.version);
-          if (auto it = pending_ingest.find(rec.header.version);
-              it != pending_ingest.end()) {
-            for (const PendingIngest& p : it->second) {
-              apply_record(Slice(p.key), rec.header.version, p.value_len,
-                           p.flags, p.address);
-            }
-            pending_ingest.erase(it);
+          if (rec.value.size() == 8 &&
+              committed_versions.count(rec.header.version) == 0 &&
+              pending_ingest.count(rec.header.version) != 0) {
+            // GC moved this marker past records written after the commit;
+            // replaying here would let the pending records override them.
+            // Note where the commit happened: the scan reruns with it.
+            commit_points->emplace(DecodeFixed64(rec.value.data()),
+                                   rec.header.version);
           }
+          replay(rec.header.version);
           return true;  // Markers stay live and never index anything.
         }
-        if (rec.is_ingest_pending() &&
-            committed_versions.count(rec.header.version) == 0) {
+        // A pending tombstone targets another pair's version and names its
+        // session in its value (records from before that tag: its own).
+        const uint64_t session =
+            rec.is_tombstone() && rec.value.size() == 8
+                ? DecodeFixed64(rec.value.data())
+                : rec.header.version;
+        if (rec.is_ingest_pending() && committed_versions.count(session) == 0) {
           // Marker not seen yet (it normally follows in append order; GC
           // can also relocate a pending copy past a marker already seen —
           // that case replays inline through apply_record below).
           PendingIngest p;
           p.key.assign(rec.key.data(), rec.key.size());
+          p.version = rec.header.version;
           p.value_len = rec.header.value_len;
           p.flags = rec.header.flags;
           p.address = packed;
-          pending_ingest[rec.header.version].push_back(std::move(p));
+          pending_ingest[session].push_back(std::move(p));
           return true;
         }
         apply_record(rec.key, rec.header.version, rec.header.value_len,
@@ -1429,6 +1411,13 @@ Status Shard::RecoverFromScan(uint32_t min_segment) {
         return true;
       },
       min_segment);
+  if (!s.ok()) return s;
+  // This pass is discarded (Open rescans): apply none of its side effects.
+  if (commit_points->size() != known_points) return Status::OK();
+  while (!due.empty()) {
+    replay(due.begin()->second);
+    due.erase(due.begin());
+  }
   if (!s.ok()) return s;
   // Markers found on disk re-seed the idempotency set: a commit retry
   // arriving after a reopen still answers OK for these versions.
@@ -1502,6 +1491,7 @@ Status Shard::CheckpointLocked() {
     uint8_t flags = 0;
     if (e->dedup) flags |= kCkptDedup;
     if (e->deleted) flags |= kCkptDeleted;
+    if (e->superseded) flags |= kCkptSuperseded;
     blob.push_back(static_cast<char>(flags));
   }
   // Committed bulk-load versions, appended after the entries (absent in
@@ -1602,6 +1592,7 @@ Status Shard::ApplyCheckpointEntries() {
     MemEntry* entry = idx->Insert(key, version, address, value_size,
                                   (flags & kCkptDedup) != 0);
     entry->deleted = (flags & kCkptDeleted) != 0;
+    entry->superseded = (flags & kCkptSuperseded) != 0;
   }
   // Optional trailer (newer checkpoints only): the committed bulk-load
   // versions. Its absence is legal; a present-but-torn set is corruption
@@ -1619,7 +1610,6 @@ Status Shard::ApplyCheckpointEntries() {
       ingest_committed_.insert(v);
     }
   }
-  pending_checkpoint_.clear();
   return Status::OK();
 }
 

@@ -89,10 +89,14 @@ class Shard {
   /// Opens (idempotently) the session for `version`.
   Status IngestBegin(uint64_t version) EXCLUDES(write_mutex_);
 
-  /// Validates + pre-encodes the run off-lock, then lands it with ONE
-  /// vectored AofManager::AppendMany — no per-op planning, no memtable
-  /// work until commit. A failed run fails whole (AppendMany rolls back its
-  /// occupancy accounting); the session survives for a retry or abort.
+  /// Pre-encodes the run off-lock (QinDb::IngestRun has already run
+  /// CheckIngestOp over it), then lands it with ONE vectored
+  /// AofManager::AppendMany — no per-op planning, no memtable work until
+  /// commit. A tombstone's record targets the pair's own version and
+  /// carries the session version as its value, so recovery replays it at
+  /// this session's commit marker. A failed run fails whole (AppendMany
+  /// rolls back its occupancy accounting); the session survives for a
+  /// retry or abort.
   Status IngestRun(uint64_t version, const IngestOp* ops, size_t count)
       EXCLUDES(write_mutex_);
 
@@ -182,7 +186,13 @@ class Shard {
   Shard(ssd::SsdEnv* env, const QinDbOptions& options, uint32_t shard_id,
         QinDbStats* stats, std::atomic<int>* reads_in_flight);
 
-  Status RecoverFromScan(uint32_t min_segment) REQUIRES(write_mutex_);
+  /// Rebuilds the index from segments >= `min_segment`. `commit_points`
+  /// maps the first address of each relocated commit marker whose version
+  /// must replay there; a scan that adds to it leaves no side effects, and
+  /// the caller reruns it over a fresh index.
+  Status RecoverFromScan(uint32_t min_segment,
+                         std::map<uint64_t, uint64_t>* commit_points)
+      REQUIRES(write_mutex_);
   Status LoadCheckpoint(const std::string& name, bool* loaded,
                         std::map<uint32_t, aof::SegmentMeta>* metas,
                         uint32_t* next_segment) REQUIRES(write_mutex_);
@@ -202,6 +212,13 @@ class Shard {
   /// Reads the value bytes of a memtable entry's record, retrying when the
   /// record was relocated by GC or superseded by a re-PUT mid-read.
   Result<std::string> ReadEntryValue(const MemEntry* entry);
+
+  /// Reads `entry`'s value from `index`: a deduplicated pair traces back to
+  /// the newest older version that still carries one (Figure 2, bottom
+  /// right). `count_traceback` bumps QinDbStats::traceback_gets on a
+  /// traceback (point reads count; scans do not).
+  Result<std::string> ReadValue(const MemIndex& index, const MemEntry* entry,
+                                bool count_traceback);
 
   /// Routes a mutation-path status: failures that can leave the log or its
   /// accounting torn (kIOError/kCorruption/kInternal) trip degraded mode.
@@ -237,14 +254,49 @@ class Shard {
   /// boundaries (commit tail, checkpoint tail, materialize tail).
   void MaybeUnloadIndexLocked() REQUIRES(write_mutex_);
 
+  /// The appender's record limits, the one check every write path runs
+  /// per op: kInvalidArgument for an empty key, a key longer than
+  /// UINT16_MAX, or a record larger than a segment.
+  Status CheckRecord(const Slice& key, size_t value_size) const;
+
+  /// IngestRun's per-op check: the record limits, plus puts must carry the
+  /// session `version`. QinDb::IngestRun runs it over a whole run before
+  /// routing any op, so an invalid op fails the run on every shard.
+  Status CheckIngestOp(const IngestOp& op, uint64_t version) const;
+
   /// Write's locked half: plans every op in order, appends all records
   /// with one AofManager::AppendMany, applies the memtable mutations in op
-  /// order, and stamps per-op statuses into the batch. `spans[i]` is
-  /// (offset, length) into `encoded` for op i's pre-encoded record; length
-  /// 0 means not pre-encoded (non-Put or invalid — planning decides).
+  /// order, and stamps per-op statuses into the batch. Write has already
+  /// stamped each Put's record-limit verdict; `spans[i]` is (offset,
+  /// length) into `encoded` for valid Put i's pre-encoded record.
   Status CommitLocked(WriteBatch& batch, const std::string& encoded,
                       const std::vector<std::pair<size_t, size_t>>& spans)
       REQUIRES(write_mutex_);
+
+  /// One commit's memtable apply, shared by batch commits (CommitLocked)
+  /// and bulk commits (IngestCommit): what the apply steps accumulate for
+  /// the commit tail.
+  struct CommitApply {
+    MemIndex* idx = nullptr;
+    uint32_t segment_before = 0;  // Active segment when the commit began.
+    std::vector<std::pair<aof::RecordAddress, uint64_t>> dead;
+    uint64_t ingested = 0;    // User bytes the commit's puts indexed.
+    bool any_delete = false;  // A delete flipped a pair: GC may reclaim.
+  };
+  /// Indexes one put at `address`: a re-PUT supersedes the existing entry
+  /// (its record turns dead), then the stats count the put.
+  void ApplyPut(CommitApply& c, const Slice& key, uint64_t version,
+                uint64_t address, uint32_t value_size, bool dedup)
+      REQUIRES(write_mutex_);
+  /// Flags `entry` deleted with its occupancy accounting. False when there
+  /// is nothing to flip (no entry, or already deleted).
+  bool ApplyDelete(CommitApply& c, MemEntry* entry) REQUIRES(write_mutex_);
+  /// The commit tail, run once per commit: the batched dead marks and
+  /// ingest stats, then maintenance — the interval checkpoint, the lazy GC
+  /// when a segment sealed or a delete freed space, and the index unload.
+  /// A maintenance failure leaves the commit's data in place and becomes
+  /// the return status.
+  Status FinishCommitLocked(CommitApply& c) REQUIRES(write_mutex_);
 
   friend class QinDb;
 
@@ -323,7 +375,7 @@ class Shard {
       std::string key;
       uint64_t version = 0;
       uint64_t address = 0;  // Packed RecordAddress.
-      uint32_t value_size = 0;
+      uint32_t value_size = 0;  // Stored bytes (a tombstone's session tag).
       bool dedup = false;
       bool tombstone = false;
     };

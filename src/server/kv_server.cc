@@ -384,30 +384,24 @@ void KvServer::WorkerLoop() {
 void KvServer::RunWrites(Connection* conn, std::vector<rpc::Frame>* writes) {
   if (writes->empty()) return;
   const size_t count = writes->size();
-  if (count == 1) {
-    conn->Write(Execute(conn, writes->front()));
-  } else {
-    std::vector<mint::MintCluster::BatchOp> ops;
-    ops.reserve(count);
-    for (rpc::Frame& frame : *writes) {
-      mint::MintCluster::BatchOp op;
-      op.is_del = frame.op == rpc::Opcode::kDel;
-      op.version = frame.version;
-      op.dedup = frame.dedup;
-      // MakeResponse only reads the scalar fields, so the payload can move.
-      op.key = std::move(frame.key);
-      op.value = std::move(frame.value);
-      ops.push_back(std::move(op));
-    }
-    std::vector<Status> statuses;
-    DL_DISCARD_STATUS("first failing per-op status; each response frame "
-                      "below carries its own op's status",
-                      cluster_->WriteMany(ops, &statuses));
-    for (size_t i = 0; i < count; ++i) {
-      conn->Write(rpc::MakeResponse((*writes)[i], statuses[i]));
-    }
-    counters_.writes_batched.fetch_add(count);
+  std::vector<rpc::BatchOp> ops(count);
+  for (size_t i = 0; i < count; ++i) {
+    rpc::Frame& frame = (*writes)[i];
+    ops[i].is_del = frame.op == rpc::Opcode::kDel;
+    ops[i].dedup = frame.dedup;
+    ops[i].version = frame.version;
+    // MakeResponse only reads the scalar fields, so the payload can move.
+    ops[i].key = std::move(frame.key);
+    ops[i].value = std::move(frame.value);
   }
+  std::vector<Status> statuses;
+  DL_DISCARD_STATUS("first failing per-op status; each response frame "
+                    "below carries its own op's status",
+                    cluster_->WriteMany(ops, &statuses));
+  for (size_t i = 0; i < count; ++i) {
+    conn->Write(rpc::MakeResponse((*writes)[i], statuses[i]));
+  }
+  if (count > 1) counters_.writes_batched.fetch_add(count);
   counters_.requests_served.fetch_add(count);
   writes->clear();
 }
@@ -423,31 +417,16 @@ rpc::Frame KvServer::Execute(Connection* conn, const rpc::Frame& request) {
                                std::move(read->value));
     }
     case rpc::Opcode::kPut:
-      return rpc::MakeResponse(
-          request, cluster_->Put(request.key, request.version, request.value,
-                                 request.dedup));
     case rpc::Opcode::kDel:
-      return rpc::MakeResponse(request,
-                               cluster_->Del(request.key, request.version));
+      break;  // Single-op writes run through RunWrites, never through here.
     case rpc::Opcode::kStats:
       return rpc::MakeResponse(request, Status::OK(), StatsText());
     case rpc::Opcode::kPing:
       return rpc::MakeResponse(request, Status::OK(), request.value);
     case rpc::Opcode::kWriteBatch: {
-      std::vector<rpc::BatchOp> wire_ops;
-      Status decoded = rpc::DecodeBatchOps(request.value, &wire_ops);
+      std::vector<rpc::BatchOp> ops;
+      Status decoded = rpc::DecodeBatchOps(request.value, &ops);
       if (!decoded.ok()) return rpc::MakeResponse(request, decoded);
-      std::vector<mint::MintCluster::BatchOp> ops;
-      ops.reserve(wire_ops.size());
-      for (rpc::BatchOp& op : wire_ops) {
-        mint::MintCluster::BatchOp out;
-        out.is_del = op.is_del;
-        out.version = op.version;
-        out.dedup = op.dedup;
-        out.key = std::move(op.key);
-        out.value = std::move(op.value);
-        ops.push_back(std::move(out));
-      }
       std::vector<Status> statuses;
       Status overall = cluster_->WriteMany(ops, &statuses);
       // The response value always carries the per-op statuses; the frame

@@ -149,9 +149,10 @@ class KvServer {
   /// and mutate its session state.
   rpc::Frame Execute(Connection* conn, const rpc::Frame& request);
 
-  /// Runs the reader's pending single-op writes — as one cluster write
-  /// batch when there are several — answers each with its own status, and
-  /// clears `writes`.
+  /// Runs the reader's pending single-op writes as one cluster write batch
+  /// (MintCluster::WriteMany, even for one frame), answers each with its
+  /// own status, and clears `writes`. Only runs of two or more count as
+  /// writes_batched.
   void RunWrites(Connection* conn, std::vector<rpc::Frame>* writes);
 
   std::string StatsText();

@@ -5,7 +5,7 @@
 // (tests/dmint_test.cc, bench/server_loadgen --cluster) fork a fleet of
 // these and drive them over DLP1.
 //
-//   dmint_node [--port N] [--shards S] [--workers W]
+//   dmint_node [--port N] [--shards S]
 //
 // Binds --port (0 = kernel-assigned) and prints one machine-readable ready
 // line on stdout once serving:
@@ -37,12 +37,16 @@ namespace {
 
 std::sig_atomic_t volatile g_stop = 0;
 
+// The server's worker pool lands bulk slices only, and a storage node
+// never receives any: its coordinator sends point writes, batches and
+// repair scans, which all run on the connection's reader thread.
+constexpr int kNodeWorkers = 1;
+
 void HandleStop(int /*signum*/) { g_stop = 1; }
 
 struct NodeConfig {
   uint16_t port = 0;
   int shards = 1;
-  int workers = 2;
 };
 
 bool ParseArgs(int argc, char** argv, NodeConfig* config) {
@@ -59,14 +63,12 @@ bool ParseArgs(int argc, char** argv, NodeConfig* config) {
       config->port = static_cast<uint16_t>(port);
     } else if (arg == "--shards") {
       if (!next_int(&config->shards)) return false;
-    } else if (arg == "--workers") {
-      if (!next_int(&config->workers)) return false;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return false;
     }
   }
-  return config->shards >= 0 && config->workers > 0;
+  return config->shards >= 0;
 }
 
 }  // namespace
@@ -75,7 +77,7 @@ int main(int argc, char** argv) {
   NodeConfig config;
   if (!ParseArgs(argc, argv, &config)) {
     std::fprintf(stderr,
-                 "usage: dmint_node [--port N] [--shards S] [--workers W]\n");
+                 "usage: dmint_node [--port N] [--shards S]\n");
     return 1;
   }
 
@@ -103,7 +105,7 @@ int main(int argc, char** argv) {
 
   server::KvServerOptions server_options;
   server_options.port = config.port;
-  server_options.num_workers = config.workers;
+  server_options.num_workers = kNodeWorkers;
   server::KvServer server(&cluster, server_options);
   if (Status s = server.Start(); !s.ok()) {
     std::fprintf(stderr, "dmint_node: server start failed: %s\n",

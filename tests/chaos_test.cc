@@ -205,11 +205,11 @@ TEST(ChaosCrashPoints, RecoversFromEverySealAndGcFailpoint) {
 }
 
 // ---------------------------------------------------------------------------
-// Suite 1b: group-commit crash points — a fault lands mid-batch.
+// Suite 1b: batch crash points — a fault lands mid-batch.
 // ---------------------------------------------------------------------------
 
 /// Commits multi-op WriteBatches into an armed append-path failpoint, then
-/// hard-crashes and verifies the group-commit durability contract:
+/// hard-crashes and verifies the batch durability contract:
 ///  - batches checkpointed before the fault keep every op, byte-exact;
 ///  - batches acked after the checkpoint sit in the volatile AOF tail, so
 ///    each may lose a SUFFIX of its ops on crash — but survivors must form
@@ -362,7 +362,7 @@ void RunBatchCrashPoint(const std::string& point, uint32_t num_shards) {
   EXPECT_TRUE(recovered->Write(post).ok());
 }
 
-TEST(ChaosCrashPoints, GroupCommitSurvivesAppendAndRollFaults) {
+TEST(ChaosCrashPoints, BatchPrefixSurvivesAppendAndRollFaults) {
   if (!failpoint::kCompiledIn) {
     GTEST_SKIP() << "build with -DDIRECTLOAD_FAILPOINTS=ON";
   }

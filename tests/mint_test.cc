@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 
@@ -172,6 +173,73 @@ TEST_F(MintTest, WritesSkipDownNodesAndClusterStaysAvailable) {
     ASSERT_TRUE(cluster_.Put("key" + std::to_string(i), 1, "v").ok());
     ASSERT_TRUE(cluster_.Get("key" + std::to_string(i), 1).ok());
   }
+}
+
+// The replica-aggregated write statuses, pinned for Put, Del and
+// WriteMany alike: one replica down still acknowledges, the key's whole
+// group down is kUnavailable (never kNotFound), and a Del of a pair no live
+// replica holds is kNotFound.
+TEST_F(MintTest, WriteStatusesWhenReplicasAreDown) {
+  const std::string key = "status-key";
+  const std::vector<int> group = [&] {
+    std::vector<int> ids = cluster_.ReplicasOf(key);  // 3 of 3: the group.
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  }();
+  auto put_op = [&](uint64_t version) {
+    rpc::BatchOp op;
+    op.key = key;
+    op.version = version;
+    op.value = "v" + std::to_string(version);
+    return op;
+  };
+  auto del_op = [&](uint64_t version) {
+    rpc::BatchOp op;
+    op.is_del = true;
+    op.key = key;
+    op.version = version;
+    return op;
+  };
+  std::vector<Status> statuses;
+
+  // All replicas up: a Del of a missing pair is NotFound.
+  EXPECT_TRUE(cluster_.Del(key, 99).IsNotFound());
+  EXPECT_TRUE(cluster_.WriteMany({del_op(99)}, &statuses).IsNotFound());
+  ASSERT_EQ(statuses.size(), 1u);
+  EXPECT_TRUE(statuses[0].IsNotFound());
+
+  // One replica down: writes still land on the others.
+  ASSERT_TRUE(cluster_.FailNode(group[0]).ok());
+  EXPECT_TRUE(cluster_.Put(key, 1, "v1").ok());
+  EXPECT_TRUE(cluster_.Put(key, 2, "v2").ok());
+  EXPECT_TRUE(cluster_.Del(key, 1).ok());
+  EXPECT_TRUE(
+      cluster_.WriteMany({put_op(3), del_op(2), del_op(98)}, &statuses)
+          .IsNotFound());
+  ASSERT_EQ(statuses.size(), 3u);
+  EXPECT_TRUE(statuses[0].ok()) << statuses[0].ToString();
+  EXPECT_TRUE(statuses[1].ok()) << statuses[1].ToString();
+  EXPECT_TRUE(statuses[2].IsNotFound()) << statuses[2].ToString();
+  Result<MintCluster::ReadResult> read = cluster_.Get(key, 3);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->value, "v3");
+
+  // The whole group down: Unavailable for puts and deletes alike.
+  ASSERT_TRUE(cluster_.FailNode(group[1]).ok());
+  ASSERT_TRUE(cluster_.FailNode(group[2]).ok());
+  EXPECT_TRUE(cluster_.Put(key, 4, "v4").IsUnavailable());
+  EXPECT_TRUE(cluster_.Del(key, 3).IsUnavailable());
+  EXPECT_TRUE(cluster_.Del(key, 99).IsUnavailable());
+  EXPECT_TRUE(
+      cluster_.WriteMany({put_op(4), del_op(3)}, &statuses).IsUnavailable());
+  ASSERT_EQ(statuses.size(), 2u);
+  EXPECT_TRUE(statuses[0].IsUnavailable()) << statuses[0].ToString();
+  EXPECT_TRUE(statuses[1].IsUnavailable()) << statuses[1].ToString();
+
+  // Back up: the surviving pair deletes, a missing one is NotFound again.
+  for (int id : group) ASSERT_TRUE(cluster_.RecoverNode(id).ok());
+  EXPECT_TRUE(cluster_.Del(key, 3).ok());
+  EXPECT_TRUE(cluster_.Del(key, 97).IsNotFound());
 }
 
 TEST_F(MintTest, AddNodeWithoutRedistribution) {
